@@ -87,8 +87,7 @@ def normalize(file, cellname, budget, trace_rules):
     "--script", "scriptfile", type=click.Path(), default=None,
     help="Moves file, one per line: recv <v>, pick 0|1, stop, continue.",
 )
-@click.option("--depth", default=DEFAULT_DEPTH, show_default=True)
-def eval_cmd(file, cellname, literal, scriptfile, depth):
+def eval_cmd(file, cellname, literal, scriptfile):
     """Run a cell on an input value, scripted from the right boundary."""
     doc = _load(file)
     decl = _pick_cell(doc, cellname)

@@ -36,10 +36,6 @@ class NotEnumerable(FcnError):
     pass
 
 
-class NotAStar(FcnError):
-    pass
-
-
 class BoundaryMismatch(FcnError):
     def __init__(self, site, expected, found):
         self.site = site
@@ -49,10 +45,6 @@ class BoundaryMismatch(FcnError):
 
 
 class IllTypedSubterm(FcnError):
-    pass
-
-
-class NotSquare(FcnError):
     pass
 
 
@@ -73,7 +65,3 @@ class WrongMove(FcnError):
         self.expected_kind = expected_kind
         self.got = got
         super().__init__(f"wrong script move: expected {expected_kind}, got {got}")
-
-
-class DepthExceeded(FcnError):
-    pass

@@ -246,16 +246,6 @@ def _golden_cells(ctx):
     ]
 
 
-def _square_cells(ctx):
-    """Cells with equal top and bottom, usable under the loop builders."""
-    a, b = ctx.a, ctx.b
-    return [
-        (IdV(a), dv.vchain(PutR(a), GetR(a))),
-        (dv.crossing(SendP(b), a), dv.vchain(dv.crossing(SendP(b), a),
-                                             dv.vchain(PutR(a), GetR(a)))),
-    ]
-
-
 # -- corner laws ------------------------------------------------------------
 
 

@@ -30,7 +30,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-from .errors import BoundaryMismatch, ParseError, UnknownName
+from .errors import BoundaryMismatch, NotEnumerable, ParseError, UnknownName
 from .protocol import (
     ChooseP,
     DONE,
@@ -749,7 +749,7 @@ def _check_valuation(doc: Document):
                 )
         try:
             domain = list(sg.enumerate_values(dom, doc.val))
-        except Exception:
+        except NotEnumerable:
             continue
         for v in domain:
             if v not in table:

@@ -16,9 +16,17 @@ map from ([[U]] X, A-value) to [[W]] (X, B-value): it consumes a U-shaped
 environment and a top input, and produces a W-shaped environment whose
 leaves carry the surviving payload together with the bottom output.
 
-Loop protocols are identified with their unrollings, so the interpreter
-coerces between a handle and a pair, and between a tower and a tagged
-value, whenever the consuming position expects the other form.
+Application threads a leaf continuation: `Interp.apply(c, pv, a, k)`
+builds each output leaf (payload, bottom) through k.  Primitives call k on
+the leaves they build, and a composite folds its own post-processing (the
+lower cell of a vertical composite, the tensor of two bottom outputs, the
+next layer of a loop handle) into the continuation it hands its parts, so
+no output is walked twice.  Only the fold of a left-driven loop maps over
+its body's output, to reach the tower beneath.
+
+A loop protocol is identified with its one-step unrolling, so a handle is
+read as a pair, and a tower as a tagged value, where a choice or an offer
+is expected.
 """
 
 from __future__ import annotations
@@ -32,7 +40,6 @@ from .protocol import (
     ChooseP,
     DoneP,
     OfferP,
-    Protocol,
     RecvP,
     SendP,
     SeqP,
@@ -245,6 +252,18 @@ def pval_map(pv, protos, fn):
 # Cell application
 
 
+def _leaf(leaf):
+    return leaf
+
+
+def _payload(leaf):
+    return leaf[0]
+
+
+# Cells whose right protocol is done: their output is a single leaf.
+_DONE_RIGHT = (Promote, GetL, PutL, IdV)
+
+
 class Interp:
     """Runs cells against a signature and a valuation of its generators."""
 
@@ -260,149 +279,112 @@ class Interp:
             self._bcache[c] = b
         return b
 
-    def apply(self, c: Cell, pv, a: Value):
+    def apply(self, c: Cell, pv, a: Value, k=None):
         """Run cell c on a left environment pv and a top input a.
 
-        Returns a right-side environment whose payloads are pairs
-        (incoming payload, bottom output value).
+        Returns a right-side environment whose leaves are k applied to the
+        pairs (incoming payload, bottom output value); k defaults to the
+        identity.  Every rule builds its leaves through k.
         """
+        if k is None:
+            k = _leaf
         if isinstance(c, Promote):
-            return (pv, eval_mor(c.mor, a, self.val, self.sig))
+            return k((pv, eval_mor(c.mor, a, self.val, self.sig)))
         if isinstance(c, GetL):
             if not isinstance(pv, PSend):
                 raise IllTypedValue(f"expected a sent value, got {pv!r}")
-            return (pv.rest, pv.value)
+            return k((pv.rest, pv.value))
         if isinstance(c, PutR):
-            return PSend(a, (pv, UNITV))
+            return PSend(a, k((pv, UNITV)))
         if isinstance(c, GetR):
             try:
                 values = list(enumerate_values(c.obj, self.val))
             except NotEnumerable as e:
                 raise InfiniteRecvCarrier(str(e)) from e
-            return PTable({v: (pv, v) for v in values})
+            return PTable({v: k((pv, v)) for v in values})
         if isinstance(c, PutL):
             if not isinstance(pv, PTable):
                 raise IllTypedValue(f"expected a receive table, got {pv!r}")
             if a not in pv.table:
                 raise IllTypedValue(f"{a} missing from receive table")
-            return (pv.table[a], UNITV)
+            return k((pv.table[a], UNITV))
         if isinstance(c, IdV):
-            return (pv, a)
+            return k((pv, a))
         if isinstance(c, IdH):
-            return pval_map(pv, (normalize_proto(c.proto),), lambda x: (x, UNITV))
+            return _map_unit(pv, c.proto, k)
         if isinstance(c, HComp):
-            return self._apply_hcomp(c, pv, a)
+            parts = value_factors(a)
+            n1 = len(obj_factors(self.boundary(c.a).top))
+            mid = self.apply(c.a, pv, tensor_value(*parts[:n1]))
+            # leaves of c.b are ((x, b), d); fuse the two bottom outputs
+            return self.apply(
+                c.b,
+                mid,
+                tensor_value(*parts[n1:]),
+                lambda leaf: k((leaf[0][0], tensor_value(leaf[0][1], leaf[1]))),
+            )
         if isinstance(c, VComp):
-            return self._apply_vcomp(c, pv, a)
+            if isinstance(c.a, _DONE_RIGHT):
+                # one leaf: hand it on without a continuation frame
+                x, b = self.apply(c.a, pv, a)
+                return self.apply(c.b, x, b, k)
+            return self.apply(
+                c.a, pv, a, lambda leaf: self.apply(c.b, leaf[0], leaf[1], k)
+            )
         if isinstance(c, Pi0):
-            pair = as_pair(pv)
-            return pval_map(
-                pair.left, (normalize_proto(c.left),), lambda x: (x, UNITV)
-            )
+            return _map_unit(as_pair(pv).left, c.left, k)
         if isinstance(c, Pi1):
-            pair = as_pair(pv)
-            return pval_map(
-                pair.right, (normalize_proto(c.right),), lambda x: (x, UNITV)
-            )
+            return _map_unit(as_pair(pv).right, c.right, k)
         if isinstance(c, Times):
-            return PPair(self.apply(c.a, pv, a), self.apply(c.b, pv, a))
+            return PPair(self.apply(c.a, pv, a, k), self.apply(c.b, pv, a, k))
         if isinstance(c, Inj0):
-            return PInl(
-                pval_map(pv, (normalize_proto(c.left),), lambda x: (x, UNITV))
-            )
+            return PInl(_map_unit(pv, c.left, k))
         if isinstance(c, Inj1):
-            return PInr(
-                pval_map(pv, (normalize_proto(c.right),), lambda x: (x, UNITV))
-            )
+            return PInr(_map_unit(pv, c.right, k))
         if isinstance(c, Plus):
             tagged = as_tagged(pv)
-            if isinstance(tagged, PInl):
-                return self.apply(c.a, tagged.value, a)
-            return self.apply(c.b, tagged.value, a)
+            branch = c.a if isinstance(tagged, PInl) else c.b
+            return self.apply(branch, tagged.value, a, k)
         if isinstance(c, CopairC):
             if isinstance(a, InlV):
-                return self.apply(c.a, pv, a.value)
+                return self.apply(c.a, pv, a.value, k)
             if isinstance(a, InrV):
-                return self.apply(c.b, pv, a.value)
+                return self.apply(c.b, pv, a.value, k)
             raise IllTypedValue(f"branching cell needs a tagged input, got {a}")
         if isinstance(c, IterX):
-            return self._apply_iter_x(c, pv, a)
+
+            def make_handle(leaf):
+                state, inp = leaf
+
+                def thunk():
+                    stop = self.apply(c.f, state, inp, k)
+                    # g peels a body-left environment over fresh loop states
+                    peeled = self.apply(c.g, state, UNITV, _payload)
+                    return (stop, self.apply(c.alpha, peeled, inp, make_handle))
+
+                return PHandle(thunk)
+
+            return make_handle((pv, a))
         if isinstance(c, IterP):
-            return self._apply_iter_p(c, pv, a)
+            body_right = proto_factors(self.boundary(c.alpha).right)
+
+            def fold(state, inp):
+                state = as_tower(state)
+                if isinstance(state, PStop):
+                    return self.apply(c.f, state.payload, inp, k)
+                # fold the layer's leaves after alpha returns rather than
+                # through its continuation, which would deepen the stack
+                stepped = self.apply(c.alpha, state.layer, inp)
+                folded = pval_map(stepped, body_right, lambda leaf: fold(*leaf))
+                return self.apply(c.g, folded, UNITV, _payload)
+
+            return fold(pv, a)
         raise TypeError(f"unknown cell form {c!r}")
 
-    def _apply_hcomp(self, c, pv, a):
-        ba = self.boundary(c.a)
-        bb = self.boundary(c.b)
-        parts = value_factors(a)
-        n1 = len(obj_factors(ba.top))
-        a1 = tensor_value(*parts[:n1])
-        a2 = tensor_value(*parts[n1:])
-        mid = self.apply(c.a, pv, a1)
-        out = self.apply(c.b, mid, a2)
-        # leaves are ((x, b), d); fuse the two bottom outputs
-        return pval_map(
-            out,
-            proto_factors(bb.right),
-            lambda leaf: (leaf[0][0], tensor_value(leaf[0][1], leaf[1])),
-        )
 
-    def _apply_vcomp(self, c, pv, a):
-        ba = self.boundary(c.a)
-        top = self.apply(c.a, pv, a)
-        # each payload of the upper result is a lower-left environment
-        return pval_map(
-            top,
-            proto_factors(ba.right),
-            lambda leaf: self.apply(c.b, leaf[0], leaf[1]),
-        )
-
-    def _apply_iter_x(self, c, pv, a):
-        ba = self.boundary(c.alpha)
-        bg = self.boundary(c.g)
-        body_right = proto_factors(ba.right)
-        body_left = proto_factors(ba.left)
-
-        def make_handle(state, inp):
-            def thunk():
-                stop = self.apply(c.f, state, inp)
-                peeled = self.apply(c.g, state, UNITV)
-                peeled = pval_map(
-                    peeled, proto_factors(bg.right), lambda leaf: leaf[0]
-                )
-                # peeled : body-left env over fresh loop states
-                stepped = self.apply(c.alpha, peeled, inp)
-                layer = pval_map(
-                    stepped,
-                    body_right,
-                    lambda leaf: make_handle(leaf[0], leaf[1]),
-                )
-                return (stop, layer)
-
-            return PHandle(thunk)
-
-        return make_handle(pv, a)
-
-    def _apply_iter_p(self, c, pv, a):
-        ba = self.boundary(c.alpha)
-        bg = self.boundary(c.g)
-
-        def fold(state, inp):
-            state = as_tower(state)
-            if isinstance(state, PStop):
-                return self.apply(c.f, state.payload, inp)
-            stepped = self.apply(c.alpha, state.layer, inp)
-            folded = pval_map(
-                stepped,
-                proto_factors(ba.right),
-                lambda leaf: fold(leaf[0], leaf[1]),
-            )
-            out = self.apply(c.g, folded, UNITV)
-            return pval_map(
-                out, proto_factors(bg.right), lambda leaf: leaf[0]
-            )
-
-        return fold(pv, a)
+def _map_unit(pv, proto, k):
+    """The leaves of a silent cell: each payload x becomes k((x, ())."""
+    return pval_map(pv, (normalize_proto(proto),), lambda x: k((x, UNITV)))
 
 
 # ---------------------------------------------------------------------------

@@ -44,7 +44,7 @@ from .semantics import (
     as_tower,
     PStop,
 )
-from .signature import Value
+from .signature import Value, check_value
 
 
 @dataclass(frozen=True)
@@ -79,13 +79,16 @@ def run_trace(interp: Interp, cell, top_value: Value, moves) -> list:
     """Run cell on top_value and walk its right environment under moves.
 
     Returns the list of event strings. The cell's left protocol must be
-    done; the walk must consume the script exactly.
+    done, top_value must fit the cell's top boundary, and the walk must
+    consume the script exactly.
     """
     b = interp.boundary(cell)
     if proto_factors(b.left):
         raise IllTypedValue(
             f"cell is open on the left ({b.left}); traces need a closed left side"
         )
+    if not check_value(top_value, b.top, interp.val):
+        raise IllTypedValue(f"top input {top_value} does not fit {b.top}")
     pv = interp.apply(cell, None, top_value)
     events = []
     moves = list(moves)

@@ -83,6 +83,18 @@ def test_eval_with_script(tmp_path):
     ]
 
 
+def test_eval_rejects_ill_typed_input(tmp_path):
+    script = tmp_path / "moves"
+    script.write_text("stop\n")
+    r = run(
+        "eval", DEMO, "--cell", "memory", "--input", "(bogus, 7)",
+        "--script", str(script),
+    )
+    assert r.exit_code == 1
+    assert r.output.startswith("Error: ")
+    assert "result" not in r.output
+
+
 def test_eval_script_errors():
     r = run("eval", DEMO, "--cell", "memory", "--input", "ryedough")
     assert r.exit_code != 0

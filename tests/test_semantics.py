@@ -1,17 +1,40 @@
+import itertools
+import pathlib
+import random
+
 import pytest
 
 import goldens as g
+from fcn import derived as dv
 from fcn import signature as sg
-from fcn.cells import GetL, GetR, HComp, IdV, Promote, PutR, VComp
-from fcn.errors import InfiniteRecvCarrier
-from fcn.protocol import RecvP, SendP, StarXP, proto_factors, seq_proto
+from fcn.cells import (
+    CopairC,
+    GetL,
+    GetR,
+    HComp,
+    IdV,
+    Promote,
+    PutL,
+    PutR,
+    Times,
+    VComp,
+    infer_boundary,
+)
+from fcn.errors import IllTypedValue, InfiniteRecvCarrier
+from fcn.gen import gen_cell, rand_pval, rand_value
+from fcn.parser import parse_document
+from fcn.protocol import RecvP, SendP, StarPP, StarXP, proto_factors, seq_proto
 from fcn.semantics import (
+    Interp,
     PSend,
     PTable,
     pval_enumerate,
     pval_equal,
+    pval_map,
     pval_show,
 )
+
+DEMOS = pathlib.Path(__file__).resolve().parent.parent / "demos"
 
 A = g.DOUGH
 RYE = sg.AtomV("ryedough")
@@ -93,3 +116,80 @@ def test_pval_show_shapes(interp):
     pv = interp.apply(PutR(A), None, RYE)
     shown = pval_show(pv, proto_factors(SendP(A)))
     assert "ryedough" in shown
+
+
+# ---------------------------------------------------------------------------
+# Leaf continuations: apply(c, pv, a, k) is apply(c, pv, a) mapped by k.
+
+
+def _tag(leaf):
+    return ("k", leaf)
+
+
+def _assert_fused(interp, c, rng, tries=3):
+    """Compare the fused and the mapped application on random inputs."""
+    b = infer_boundary(c, interp.sig)
+    left, right = proto_factors(b.left), proto_factors(b.right)
+    counter = itertools.count()
+    for _ in range(tries):
+        pv = rand_pval(rng, left, lambda: f"p{next(counter)}", interp.val, 3)
+        a = rand_value(rng, b.top, interp.val)
+        mapped = pval_map(interp.apply(c, pv, a), right, _tag)
+        fused = interp.apply(c, pv, a, _tag)
+        assert pval_equal(fused, mapped, right, 3), f"{c} on {a}"
+
+
+def test_fused_apply_matches_mapped_on_demo_cells():
+    rng = random.Random("fused-demos")
+    for path in sorted(DEMOS.glob("*.fcn")):
+        doc = parse_document(path.read_text())
+        interp = Interp(doc.sig, doc.val)
+        for name in doc.cell_order:
+            _assert_fused(interp, doc.cells[name].term, rng)
+
+
+def test_fused_apply_matches_mapped_on_loop_cells(interp):
+    rng = random.Random("fused-loops")
+    u = SendP(A)
+    cells = [
+        dv.dup_x(u),
+        dv.duplicate_x(u),
+        dv.extract_x(u),
+        dv.merge_p(u),
+        dv.flatten_p(u),
+        dv.insert_p(u),
+        dv.crossing(StarXP(seq_proto(u, RecvP(A))), g.OVEN),
+        dv.crossing(StarPP(u), g.OVEN),
+    ]
+    for c in cells:
+        _assert_fused(interp, c, rng)
+
+
+def test_fused_apply_matches_mapped_on_gen_cells(interp):
+    rng = random.Random("fused-gen")
+    for _ in range(200):
+        _assert_fused(interp, gen_cell(rng, interp.sig), rng)
+
+
+# ---------------------------------------------------------------------------
+# Where IllTypedValue is raised: at application time, before any walk.
+
+
+@pytest.mark.parametrize(
+    "cell, pv, a",
+    [
+        (GetL(A), PTable({RYE: "x", WHEAT: "y"}), sg.UNITV),  # table, not a send
+        (PutL(A), PTable({RYE: "x"}), WHEAT),  # key missing from the table
+        (CopairC(IdV(A), IdV(A)), None, RYE),  # untagged input
+    ],
+)
+def test_ill_typed_value_raised_at_apply(interp, cell, pv, a):
+    with pytest.raises(IllTypedValue):
+        interp.apply(cell, pv, a)
+
+
+def test_times_evaluates_both_branches(interp):
+    # the second branch wants a tagged input; Times runs it even though
+    # nobody has picked a branch yet
+    with pytest.raises(IllTypedValue):
+        interp.apply(Times(IdV(A), CopairC(IdV(A), IdV(A))), None, RYE)

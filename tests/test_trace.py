@@ -1,9 +1,14 @@
+import pathlib
+import random
+
 import pytest
 
 import goldens as g
 from fcn import signature as sg
 from fcn.cells import GetL, GetR, HComp, Promote, PutR, Times, VComp
 from fcn.errors import IllTypedValue, ScriptOverrun, ScriptUnderrun, WrongMove
+from fcn.parser import parse_document
+from fcn.semantics import Interp
 from fcn.trace import ContinueMove, PickMove, RecvMove, StopMove, run_trace
 
 A = g.DOUGH
@@ -85,8 +90,6 @@ def test_mealy_word_trace():
         ("i1", "s1"): ("s1", "o1"),
     }
     sig, val, (a, s, b) = g.mealy_signature(2, 2, 2, table)
-    from fcn.semantics import Interp
-
     interp = Interp(sig, val)
     cell = g.mealy_driver(["i0", "i1", "i0"], sig, a, s, b)
     events = run_trace(interp, cell, sg.AtomV("s0"), [])
@@ -112,3 +115,50 @@ def test_offer_events(interp):
     )
     events = run_trace(interp, c, sg.UNITV, [])
     assert events == ["offered 0", "sent ryeloaf", "result ()"]
+
+
+def test_top_input_checked_against_boundary(interp):
+    with pytest.raises(IllTypedValue):
+        run_trace(interp, g.memory, sg.AtomV("ryeloaf"), [StopMove()])
+    with pytest.raises(IllTypedValue):
+        run_trace(interp, PutR(A), sg.TupleV((RYE, RYE)), [])
+
+
+# Long runs must fit under the default recursion limit, which is never
+# raised: the interpreter's stack grows by a few frames per letter of a
+# word sender, and the trace walk by a few per move.
+
+
+def test_long_mealy_word_trace():
+    rng = random.Random("long-mealy")
+    table = {
+        (f"i{i}", f"s{q}"): (f"s{rng.randrange(3)}", f"o{rng.randrange(2)}")
+        for i in range(2)
+        for q in range(3)
+    }
+    sig, val, (a, s, b) = g.mealy_signature(3, 2, 2, table)
+    word = [f"i{rng.randrange(2)}" for _ in range(160)]
+    cell = g.mealy_driver(word, sig, a, s, b)
+    events = run_trace(Interp(sig, val), cell, sg.AtomV("s0"), [])
+    state, expect = "s0", []
+    for letter in word:
+        state, out = table[(letter, state)]
+        expect += ["more", f"sent {out}"]
+    assert events == expect + ["halted", f"result {state}"]
+
+
+def test_long_memory_script():
+    demo = pathlib.Path(__file__).resolve().parent.parent / "demos" / "bakery.fcn"
+    doc = parse_document(demo.read_text())
+    rng = random.Random("long-memory")
+    doughs = [RYE, WHEAT]
+    stored = [rng.choice(doughs) for _ in range(200)]
+    moves = []
+    for v in stored:
+        moves += [ContinueMove(), RecvMove(v)]
+    moves.append(StopMove())
+    events = run_trace(
+        Interp(doc.sig, doc.val), doc.cells["memory"].term, RYE, moves
+    )
+    sent = [RYE] + stored[:-1]
+    assert events == [f"sent {v}" for v in sent] + [f"result {stored[-1]}"]
