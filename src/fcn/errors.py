@@ -9,8 +9,8 @@ class ParseError(FcnError):
     def __init__(self, message, line=None, column=None):
         self.line = line
         self.column = column
-        loc = f" at line {line}, column {column}" if line is not None else ""
-        super().__init__(f"{message}{loc}")
+        loc = f"line {line}:{column}: " if line is not None else ""
+        super().__init__(f"{loc}{message}")
 
 
 class UnknownName(FcnError):

@@ -45,7 +45,7 @@ from .cells import (
     VComp,
     infer_boundary,
 )
-from .semantics import PHandle, PInl, PInr, PPair, PSend, PStep, PStop, PTable
+from .semantics import PInl, PInr, PPair, PSend, PTable, branches
 from .signature import (
     GenObj,
     InlV,
@@ -107,47 +107,38 @@ def rand_pval(rng: random.Random, protos, mkpayload, val: Valuation, depth=3):
         return PTable(
             {k: mkpayload() for k in enumerate_values(head.obj, val)}
         )
-    if isinstance(head, ChooseP):
-        return PPair(
-            rand_pval(rng, (head.left,), mkpayload, val, depth),
-            rand_pval(rng, (head.right,), mkpayload, val, depth),
-        )
-    if isinstance(head, OfferP):
-        if rng.random() < 0.5:
-            return PInl(rand_pval(rng, (head.left,), mkpayload, val, depth))
-        return PInr(rand_pval(rng, (head.right,), mkpayload, val, depth))
-    if isinstance(head, StarPP):
-        if depth <= 0 or rng.random() < 0.4:
-            return PStop(mkpayload())
-        return PStep(
-            rand_pval(
-                rng,
-                (head.body,),
-                lambda: rand_pval(rng, (head,), mkpayload, val, depth - 1),
-                val,
-                depth,
+    if isinstance(head, (ChooseP, StarXP)):
+        lp, rp = branches(head)
+        if isinstance(head, ChooseP):
+            return PPair(
+                rand_pval(rng, lp, mkpayload, val, depth),
+                rand_pval(rng, rp, mkpayload, val, depth),
             )
-        )
-    if isinstance(head, StarXP):
-        return _rand_handle(rng, head, mkpayload, val, depth)
+
+        def thunk():
+            # a handle settles after depth rounds into its own next layer
+            nxt = handle
+            if depth > 0:
+                nxt = rand_pval(rng, rp[1:], mkpayload, val, depth - 1)
+            return (
+                rand_pval(rng, lp, mkpayload, val, depth),
+                rand_pval(rng, rp[:1], lambda: nxt, val, depth),
+            )
+
+        handle = PPair.lazy(thunk)
+        return handle
+    if isinstance(head, (OfferP, StarPP)):
+        if isinstance(head, OfferP):
+            step = rng.random() >= 0.5
+        else:
+            step = depth > 0 and rng.random() >= 0.4
+        lp, rp = branches(head)
+        if not step:
+            return PInl(rand_pval(rng, lp, mkpayload, val, depth))
+        # the tower beneath a layer has one layer fewer (an offer has no tail)
+        tail = lambda: rand_pval(rng, rp[1:], mkpayload, val, depth - 1)
+        return PInr(rand_pval(rng, rp[:1], tail, val, depth))
     raise TypeError(f"unknown protocol form {head!r}")
-
-
-def _rand_handle(rng, star, mkpayload, val, depth):
-    handle = PHandle(None)
-
-    def thunk():
-        stop = mkpayload()
-        nxt = (
-            handle
-            if depth <= 0
-            else _rand_handle(rng, star, mkpayload, val, depth - 1)
-        )
-        layer = rand_pval(rng, (star.body,), lambda: nxt, val, depth)
-        return (stop, layer)
-
-    handle._thunk = thunk
-    return handle
 
 
 # ---------------------------------------------------------------------------

@@ -100,7 +100,9 @@ def tokenize(text: str):
     while pos < len(text):
         m = _TOKEN_RE.match(text, pos)
         if m is None:
-            raise ParseError(f"line {line}:{col}: unexpected character {text[pos]!r}")
+            raise ParseError(
+                f"unexpected character {text[pos]!r}", line=line, column=col
+            )
         kind = m.lastgroup
         chunk = m.group()
         if kind != "ws":
@@ -143,19 +145,23 @@ class _Stream:
         t = self.peek()
         if t.text != text or t.kind == "eof":
             got = t.text or "end of input"
-            raise ParseError(f"line {t.line}:{t.col}: expected {text!r}, got {got!r}")
+            raise ParseError(
+                f"expected {text!r}, got {got!r}", line=t.line, column=t.col
+            )
         return self.next()
 
     def ident(self, what="a name") -> Token:
         t = self.peek()
         if t.kind != "ident":
             got = t.text or "end of input"
-            raise ParseError(f"line {t.line}:{t.col}: expected {what}, got {got!r}")
+            raise ParseError(
+                f"expected {what}, got {got!r}", line=t.line, column=t.col
+            )
         return self.next()
 
     def fail(self, msg: str):
         t = self.peek()
-        raise ParseError(f"line {t.line}:{t.col}: {msg}")
+        raise ParseError(msg, line=t.line, column=t.col)
 
 
 # ---------------------------------------------------------------------------
@@ -261,7 +267,7 @@ class _Parser:
             self.cell_decl()
         else:
             raise ParseError(
-                f"line {t.line}:{t.col}: unknown declaration {t.text!r}"
+                f"unknown declaration {t.text!r}", line=t.line, column=t.col
             )
         s.expect(";")
 
@@ -288,11 +294,11 @@ class _Parser:
             t = s.ident("'list'")
             if t.text != "list":
                 raise ParseError(
-                    f"line {t.line}:{t.col}: expected an atom set or 'list of'"
+                    "expected an atom set or 'list of'", line=t.line, column=t.col
                 )
             of = s.ident("'of'")
             if of.text != "of":
-                raise ParseError(f"line {of.line}:{of.col}: expected 'of'")
+                raise ParseError("expected 'of'", line=of.line, column=of.col)
             elem = self.obj_atom()
             self.doc.sig.objects.discard(name)
             self.doc.aliases[name] = sg.Stack(sg.normalize_obj(elem))

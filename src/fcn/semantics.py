@@ -8,8 +8,8 @@ A protocol denotes a payload functor:
     p1 . p2     X  =  [[p1]]([[p2]] X)                 (outermost first)
     U & W       X  =  pair of a U-value and a W-value  (PPair)
     U + W       X  =  tagged U-value or W-value        (PInl / PInr)
-    U^p         X  =  finite tower of U-layers over X  (PStop / PStep)
-    U^x         X  =  observable stream of U-layers    (PHandle)
+    U^p         X  =  X + [[U]]([[U^p]] X)             (PInl stops, PInr steps)
+    U^x         X  =  X & [[U]]([[U^x]] X)             (PPair.lazy, forced once)
 
 A cell with boundary [U | A -> B | W] denotes, for every payload type X, a
 map from ([[U]] X, A-value) to [[W]] (X, B-value): it consumes a U-shaped
@@ -24,9 +24,9 @@ next layer of a loop handle) into the continuation it hands its parts, so
 no output is walked twice.  Only the fold of a left-driven loop maps over
 its body's output, to reach the tower beneath.
 
-A loop protocol is identified with its one-step unrolling, so a handle is
-read as a pair, and a tower as a tagged value, where a choice or an offer
-is expected.
+A loop protocol is identified with its one-step unrolling, so each protocol
+shape has one environment: a right-driven loop shares the pair of a choice,
+and a left-driven loop the tagged value of an offer.
 """
 
 from __future__ import annotations
@@ -103,10 +103,34 @@ class PTable:
     table: dict  # Value -> environment
 
 
-@dataclass
 class PPair:
-    left: object
-    right: object
+    """The environment of a choice U & W, or of a right-driven loop U^x read
+    as its unrolling done & (U . U^x).
+
+    PPair(left, right) is built eagerly; PPair.lazy(thunk) defers both sides
+    to thunk(), which returns (left, right) and is forced at most once, on
+    the first read of either side.
+    """
+
+    __slots__ = ("left", "right", "_thunk")
+
+    def __init__(self, left, right):
+        self.left = left
+        self.right = right
+
+    @classmethod
+    def lazy(cls, thunk):
+        pv = cls.__new__(cls)
+        pv._thunk = thunk
+        return pv
+
+    def __getattr__(self, name):
+        # reached only while a lazy pair's sides are unset
+        if name not in ("left", "right"):
+            raise AttributeError(name)
+        self.left, self.right = self._thunk()
+        del self._thunk
+        return getattr(self, name)
 
 
 @dataclass
@@ -119,73 +143,33 @@ class PInr:
     value: object
 
 
-@dataclass
-class PStop:
-    payload: object
+# The environment of an offer U + W, or of a left-driven loop U^p read as its
+# unrolling done + (U . U^p): PInl(payload) stops and PInr(layer) steps.
+TAGGED = (PInl, PInr)
 
 
-@dataclass
-class PStep:
-    layer: object  # U-environment with tower leaves
+_SHAPE_NAMES = {
+    PSend: "a sent value",
+    PTable: "a receive table",
+    PPair: "a pair environment",
+    TAGGED: "a tagged environment",
+}
 
 
-class PHandle:
-    """A right-driven loop environment, observed on demand.
-
-    observe() returns (stop, layer): the payload if the right participant
-    stops now, and a body-environment with handle leaves if it continues.
-    The thunk is forced at most once.
-    """
-
-    __slots__ = ("_thunk", "_cached")
-
-    def __init__(self, thunk):
-        self._thunk = thunk
-        self._cached = None
-
-    def observe(self):
-        if self._cached is None:
-            self._cached = self._thunk()
-        return self._cached
-
-
-def as_pair(pv):
-    """View an environment at a choice node, unrolling a handle if needed."""
-    if isinstance(pv, PHandle):
-        stop, layer = pv.observe()
-        return PPair(stop, layer)
-    if isinstance(pv, PPair):
+def expect(pv, shape):
+    """pv itself if it has the given shape (a key of _SHAPE_NAMES), else
+    IllTypedValue."""
+    if isinstance(pv, shape):
         return pv
-    raise IllTypedValue(f"expected a choice environment, got {pv!r}")
+    raise IllTypedValue(f"expected {_SHAPE_NAMES[shape]}, got {pv!r}")
 
 
-def as_handle(pv):
-    if isinstance(pv, PHandle):
-        return pv
-    if isinstance(pv, PPair):
-        return PHandle(lambda: (pv.left, pv.right))
-    raise IllTypedValue(f"expected a loop environment, got {pv!r}")
-
-
-def as_tagged(pv):
-    """View an environment at an offer node, untagging a tower if needed."""
-    if isinstance(pv, PStop):
-        return PInl(pv.payload)
-    if isinstance(pv, PStep):
-        return PInr(pv.layer)
-    if isinstance(pv, (PInl, PInr)):
-        return pv
-    raise IllTypedValue(f"expected an offer environment, got {pv!r}")
-
-
-def as_tower(pv):
-    if isinstance(pv, PInl):
-        return PStop(pv.value)
-    if isinstance(pv, PInr):
-        return PStep(pv.value)
-    if isinstance(pv, (PStop, PStep)):
-        return pv
-    raise IllTypedValue(f"expected a tower environment, got {pv!r}")
+def branches(head):
+    """The factor lists of the two sides of a binary node: the two branches
+    of a choice or an offer, or the stop and the step of a loop."""
+    if isinstance(head, (StarXP, StarPP)):
+        return (), (head.body, head)
+    return (head.left,), (head.right,)
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +183,8 @@ def pval_map(pv, protos, fn):
         return fn(pv)
     head, rest = protos[0], protos[1:]
     if rest:
-        return pval_map(pv, (head,), lambda inner: pval_map(inner, rest, fn))
+        # map head's leaves, which are environments over rest
+        fn = lambda inner, fn=fn: pval_map(inner, rest, fn)
     if isinstance(head, DoneP):
         return fn(pv)
     if isinstance(head, SendP):
@@ -208,43 +193,15 @@ def pval_map(pv, protos, fn):
         return PTable({k: fn(v) for k, v in pv.table.items()})
     if isinstance(head, SeqP):
         return pval_map(pv, proto_factors(head), fn)
-    if isinstance(head, ChooseP):
-        pv = as_pair(pv)
-        return PPair(
-            pval_map(pv.left, (head.left,), fn),
-            pval_map(pv.right, (head.right,), fn),
-        )
-    if isinstance(head, OfferP):
-        pv = as_tagged(pv)
-        if isinstance(pv, PInl):
-            return PInl(pval_map(pv.value, (head.left,), fn))
-        return PInr(pval_map(pv.value, (head.right,), fn))
-    if isinstance(head, StarPP):
-        pv = as_tower(pv)
-        if isinstance(pv, PStop):
-            return PStop(fn(pv.payload))
-        return PStep(
-            pval_map(
-                pv.layer,
-                (head.body,),
-                lambda sub: pval_map(sub, (head,), fn),
-            )
-        )
-    if isinstance(head, StarXP):
-        h = as_handle(pv)
-
-        def thunk():
-            stop, layer = h.observe()
-            return (
-                fn(stop),
-                pval_map(
-                    layer,
-                    (head.body,),
-                    lambda sub: pval_map(sub, (head,), fn),
-                ),
-            )
-
-        return PHandle(thunk)
+    if isinstance(head, (ChooseP, StarXP)):
+        pv = expect(pv, PPair)
+        lp, rp = branches(head)
+        both = lambda: (pval_map(pv.left, lp, fn), pval_map(pv.right, rp, fn))
+        return PPair(*both()) if isinstance(head, ChooseP) else PPair.lazy(both)
+    if isinstance(head, (OfferP, StarPP)):
+        pv = expect(pv, TAGGED)
+        side = branches(head)[isinstance(pv, PInr)]
+        return type(pv)(pval_map(pv.value, side, fn))
     raise TypeError(f"unknown protocol form {head!r}")
 
 
@@ -291,8 +248,7 @@ class Interp:
         if isinstance(c, Promote):
             return k((pv, eval_mor(c.mor, a, self.val, self.sig)))
         if isinstance(c, GetL):
-            if not isinstance(pv, PSend):
-                raise IllTypedValue(f"expected a sent value, got {pv!r}")
+            pv = expect(pv, PSend)
             return k((pv.rest, pv.value))
         if isinstance(c, PutR):
             return PSend(a, k((pv, UNITV)))
@@ -303,8 +259,7 @@ class Interp:
                 raise InfiniteRecvCarrier(str(e)) from e
             return PTable({v: k((pv, v)) for v in values})
         if isinstance(c, PutL):
-            if not isinstance(pv, PTable):
-                raise IllTypedValue(f"expected a receive table, got {pv!r}")
+            pv = expect(pv, PTable)
             if a not in pv.table:
                 raise IllTypedValue(f"{a} missing from receive table")
             return k((pv.table[a], UNITV))
@@ -332,9 +287,9 @@ class Interp:
                 c.a, pv, a, lambda leaf: self.apply(c.b, leaf[0], leaf[1], k)
             )
         if isinstance(c, Pi0):
-            return _map_unit(as_pair(pv).left, c.left, k)
+            return _map_unit(expect(pv, PPair).left, c.left, k)
         if isinstance(c, Pi1):
-            return _map_unit(as_pair(pv).right, c.right, k)
+            return _map_unit(expect(pv, PPair).right, c.right, k)
         if isinstance(c, Times):
             return PPair(self.apply(c.a, pv, a, k), self.apply(c.b, pv, a, k))
         if isinstance(c, Inj0):
@@ -342,7 +297,7 @@ class Interp:
         if isinstance(c, Inj1):
             return PInr(_map_unit(pv, c.right, k))
         if isinstance(c, Plus):
-            tagged = as_tagged(pv)
+            tagged = expect(pv, TAGGED)
             branch = c.a if isinstance(tagged, PInl) else c.b
             return self.apply(branch, tagged.value, a, k)
         if isinstance(c, CopairC):
@@ -362,19 +317,19 @@ class Interp:
                     peeled = self.apply(c.g, state, UNITV, _payload)
                     return (stop, self.apply(c.alpha, peeled, inp, make_handle))
 
-                return PHandle(thunk)
+                return PPair.lazy(thunk)
 
             return make_handle((pv, a))
         if isinstance(c, IterP):
             body_right = proto_factors(self.boundary(c.alpha).right)
 
             def fold(state, inp):
-                state = as_tower(state)
-                if isinstance(state, PStop):
-                    return self.apply(c.f, state.payload, inp, k)
+                state = expect(state, TAGGED)
+                if isinstance(state, PInl):
+                    return self.apply(c.f, state.value, inp, k)
                 # fold the layer's leaves after alpha returns rather than
                 # through its continuation, which would deepen the stack
-                stepped = self.apply(c.alpha, state.layer, inp)
+                stepped = self.apply(c.alpha, state.value, inp)
                 folded = pval_map(stepped, body_right, lambda leaf: fold(*leaf))
                 return self.apply(c.g, folded, UNITV, _payload)
 
@@ -404,8 +359,8 @@ def pval_equal(p, q, protos, depth, payload_eq=None) -> bool:
         return payload_eq(p, q)
     head, rest = protos[0], protos[1:]
     if rest:
-        inner = lambda x, y: pval_equal(x, y, rest, depth, payload_eq)
-        return pval_equal(p, q, (head,), depth, inner)
+        # compare head's leaves, which are environments over rest
+        payload_eq = lambda x, y, eq=payload_eq: pval_equal(x, y, rest, depth, eq)
     if isinstance(head, DoneP):
         return payload_eq(p, q)
     if isinstance(head, SendP):
@@ -416,34 +371,27 @@ def pval_equal(p, q, protos, depth, payload_eq=None) -> bool:
         return all(payload_eq(p.table[k], q.table[k]) for k in p.table)
     if isinstance(head, SeqP):
         return pval_equal(p, q, proto_factors(head), depth, payload_eq)
-    if isinstance(head, ChooseP):
-        p, q = as_pair(p), as_pair(q)
-        return pval_equal(
-            p.left, q.left, (head.left,), depth, payload_eq
-        ) and pval_equal(p.right, q.right, (head.right,), depth, payload_eq)
-    if isinstance(head, OfferP):
-        p, q = as_tagged(p), as_tagged(q)
-        if isinstance(p, PInl) != isinstance(q, PInl):
+    if isinstance(head, (ChooseP, StarXP)):
+        lp, rp = branches(head)
+        right_eq = payload_eq
+        if isinstance(head, StarXP):
+            if depth <= 0:
+                return True
+            # the body is compared at depth, the loop beneath it at depth - 1
+            rp, tail = rp[:1], rp[1:]
+            right_eq = lambda x, y: pval_equal(x, y, tail, depth - 1, payload_eq)
+        p = expect(p, PPair)
+        q = expect(q, PPair)
+        return pval_equal(p.left, q.left, lp, depth, payload_eq) and pval_equal(
+            p.right, q.right, rp, depth, right_eq
+        )
+    if isinstance(head, (OfferP, StarPP)):
+        p = expect(p, TAGGED)
+        q = expect(q, TAGGED)
+        if type(p) is not type(q):
             return False
-        sub = head.left if isinstance(p, PInl) else head.right
-        return pval_equal(p.value, q.value, (sub,), depth, payload_eq)
-    if isinstance(head, StarPP):
-        p, q = as_tower(p), as_tower(q)
-        if isinstance(p, PStop) != isinstance(q, PStop):
-            return False
-        if isinstance(p, PStop):
-            return payload_eq(p.payload, q.payload)
-        deeper = lambda x, y: pval_equal(x, y, (head,), depth, payload_eq)
-        return pval_equal(p.layer, q.layer, (head.body,), depth, deeper)
-    if isinstance(head, StarXP):
-        if depth <= 0:
-            return True
-        sp, lp = as_handle(p).observe()
-        sq, lq = as_handle(q).observe()
-        if not payload_eq(sp, sq):
-            return False
-        deeper = lambda x, y: pval_equal(x, y, (head,), depth - 1, payload_eq)
-        return pval_equal(lp, lq, (head.body,), depth, deeper)
+        side = branches(head)[isinstance(p, PInr)]
+        return pval_equal(p.value, q.value, side, depth, payload_eq)
     raise TypeError(f"unknown protocol form {head!r}")
 
 
@@ -475,17 +423,20 @@ def pval_enumerate(protos, payloads, val: Valuation):
     if isinstance(head, SeqP):
         yield from pval_enumerate(proto_factors(head), payloads, val)
         return
+    # a loop has no finite set of environments: it falls through to the raise
     if isinstance(head, ChooseP):
-        lefts = list(pval_enumerate((head.left,), payloads, val))
-        rights = list(pval_enumerate((head.right,), payloads, val))
+        lp, rp = branches(head)
+        lefts = list(pval_enumerate(lp, payloads, val))
+        rights = list(pval_enumerate(rp, payloads, val))
         for l in lefts:
             for r in rights:
                 yield PPair(l, r)
         return
     if isinstance(head, OfferP):
-        for l in pval_enumerate((head.left,), payloads, val):
+        lp, rp = branches(head)
+        for l in pval_enumerate(lp, payloads, val):
             yield PInl(l)
-        for r in pval_enumerate((head.right,), payloads, val):
+        for r in pval_enumerate(rp, payloads, val):
             yield PInr(r)
         return
     raise NotEnumerable(f"cannot enumerate environments of {head}")
@@ -517,31 +468,19 @@ def pval_show(pv, protos, depth=2) -> str:
         return "{" + inside + "}"
     if isinstance(head, SeqP):
         return pval_show(pv, proto_factors(head), depth)
-    if isinstance(head, ChooseP):
-        pv = as_pair(pv)
-        return (
-            f"<{pval_show(pv.left, (head.left,), depth)}, "
-            f"{pval_show(pv.right, (head.right,), depth)}>"
-        )
-    if isinstance(head, OfferP):
-        pv = as_tagged(pv)
-        if isinstance(pv, PInl):
-            return f"L {pval_show(pv.value, (head.left,), depth)}"
-        return f"R {pval_show(pv.value, (head.right,), depth)}"
-    if isinstance(head, StarPP):
-        pv = as_tower(pv)
-        if isinstance(pv, PStop):
-            return f"stop {_show_payload(pv.payload)}"
-        return "step " + pval_show(pv.layer, (head.body, head), depth)
-    if isinstance(head, StarXP):
-        if depth <= 0:
-            return "#handle"
-        stop, layer = as_handle(pv).observe()
-        return (
-            f"<{_show_payload(stop)}, "
-            + pval_show(layer, (head.body, head), depth - 1)
-            + ">"
-        )
+    if isinstance(head, (ChooseP, StarXP)):
+        if isinstance(head, StarXP):
+            if depth <= 0:
+                return "#handle"
+            depth -= 1
+        lp, rp = branches(head)
+        pv = expect(pv, PPair)
+        return f"<{pval_show(pv.left, lp, depth)}, {pval_show(pv.right, rp, depth)}>"
+    if isinstance(head, (OfferP, StarPP)):
+        pv = expect(pv, TAGGED)
+        step = isinstance(pv, PInr)
+        word = ("L", "R") if isinstance(head, OfferP) else ("stop", "step")
+        return f"{word[step]} {pval_show(pv.value, branches(head)[step], depth)}"
     raise TypeError(f"unknown protocol form {head!r}")
 
 

@@ -33,17 +33,7 @@ from .protocol import (
     StarXP,
     proto_factors,
 )
-from .semantics import (
-    Interp,
-    PInl,
-    PSend,
-    PTable,
-    as_handle,
-    as_pair,
-    as_tagged,
-    as_tower,
-    PStop,
-)
+from .semantics import TAGGED, Interp, PInr, PPair, PSend, PTable, branches, expect
 from .signature import Value, check_value
 
 
@@ -92,72 +82,63 @@ def run_trace(interp: Interp, cell, top_value: Value, moves) -> list:
     pv = interp.apply(cell, None, top_value)
     events = []
     moves = list(moves)
-    pos = _walk(pv, tuple(proto_factors(b.right)), moves, 0, events)
+    pos = _walk(pv, tuple(proto_factors(b.right)), moves, events)
     if pos < len(moves):
         raise ScriptOverrun(f"{len(moves) - pos} unused moves, next: {moves[pos]}")
     return events
 
 
-def _walk(pv, protos, moves, pos, events) -> int:
-    if not protos:
-        x, bottom = pv
-        events.append(f"result {bottom}")
-        return pos
+def _walk(pv, protos, moves, events) -> int:
+    """Walk pv over the factor list protos, one move or event per step, and
+    return how many moves were consumed."""
+    pos = 0
 
-    def need(kind):
+    def need(kinds, what):
         if pos >= len(moves):
-            raise ScriptUnderrun(f"script ended while a {kind} move was needed")
+            raise ScriptUnderrun(f"script ended where {what} was needed")
         m = moves[pos]
-        if not isinstance(m, kind):
-            raise WrongMove(kind.__name__, m)
+        if not isinstance(m, kinds):
+            raise WrongMove(what, m)
         return m
 
-    head, rest = protos[0], protos[1:]
-    if isinstance(head, DoneP):
-        return _walk(pv, rest, moves, pos, events)
-    if isinstance(head, SeqP):
-        return _walk(pv, tuple(head.parts) + rest, moves, pos, events)
-    if isinstance(head, SendP):
-        if not isinstance(pv, PSend):
-            raise IllTypedValue(f"expected a sent value, got {pv!r}")
-        events.append(f"sent {pv.value}")
-        return _walk(pv.rest, rest, moves, pos, events)
-    if isinstance(head, RecvP):
-        m = need(RecvMove)
-        if not isinstance(pv, PTable):
-            raise IllTypedValue(f"expected a receive table, got {pv!r}")
-        if m.value not in pv.table:
-            raise WrongMove(f"recv of one of {sorted(map(str, pv.table))}", m)
-        return _walk(pv.table[m.value], rest, moves, pos + 1, events)
-    if isinstance(head, ChooseP):
-        m = need(PickMove)
-        pair = as_pair(pv)
-        branch = pair.left if m.which == 0 else pair.right
-        sub = head.left if m.which == 0 else head.right
-        return _walk(branch, (sub,) + rest, moves, pos + 1, events)
-    if isinstance(head, OfferP):
-        tagged = as_tagged(pv)
-        if isinstance(tagged, PInl):
-            events.append("offered 0")
-            return _walk(tagged.value, (head.left,) + rest, moves, pos, events)
-        events.append("offered 1")
-        return _walk(tagged.value, (head.right,) + rest, moves, pos, events)
-    if isinstance(head, StarXP):
-        if pos >= len(moves):
-            raise ScriptUnderrun("script ended at a loop decision")
-        m = moves[pos]
-        if isinstance(m, StopMove):
-            stop, _ = as_handle(pv).observe()
-            return _walk(stop, rest, moves, pos + 1, events)
-        if isinstance(m, ContinueMove):
-            _, layer = as_handle(pv).observe()
-            return _walk(layer, (head.body, head) + rest, moves, pos + 1, events)
-        raise WrongMove("stop or continue", m)
-    if isinstance(head, StarPP):
-        tower = as_tower(pv)
-        if isinstance(tower, PStop):
-            events.append("halted")
-            return _walk(tower.payload, rest, moves, pos, events)
-        events.append("more")
-        return _walk(tower.layer, (head.body, head) + rest, moves, pos, events)
-    raise TypeError(f"unknown protocol form {head!r}")
+    while protos:
+        head, protos = protos[0], protos[1:]
+        if isinstance(head, SeqP):
+            protos = tuple(head.parts) + protos
+        elif isinstance(head, SendP):
+            pv = expect(pv, PSend)
+            events.append(f"sent {pv.value}")
+            pv = pv.rest
+        elif isinstance(head, RecvP):
+            m = need(RecvMove, "RecvMove")
+            pv = expect(pv, PTable)
+            if m.value not in pv.table:
+                raise WrongMove(f"recv of one of {sorted(map(str, pv.table))}", m)
+            pv = pv.table[m.value]
+            pos += 1
+        elif isinstance(head, (ChooseP, StarXP)):
+            # the right participant picks a side: a branch, or stop / continue
+            if isinstance(head, ChooseP):
+                right = need(PickMove, "PickMove").which != 0
+            else:
+                m = need((StopMove, ContinueMove), "stop or continue")
+                right = isinstance(m, ContinueMove)
+            pair = expect(pv, PPair)
+            pv = pair.right if right else pair.left
+            protos = branches(head)[right] + protos
+            pos += 1
+        elif isinstance(head, (OfferP, StarPP)):
+            # the cell has picked a side
+            tagged = expect(pv, TAGGED)
+            right = isinstance(tagged, PInr)
+            if isinstance(head, OfferP):
+                events.append(f"offered {int(right)}")
+            else:
+                events.append("more" if right else "halted")
+            pv = tagged.value
+            protos = branches(head)[right] + protos
+        elif not isinstance(head, DoneP):
+            raise TypeError(f"unknown protocol form {head!r}")
+    x, bottom = pv
+    events.append(f"result {bottom}")
+    return pos

@@ -110,6 +110,11 @@ def test_parse_error_position():
     with pytest.raises(ParseError) as e:
         parse_document("object ;")
     assert "line 1" in str(e.value)
+    assert (e.value.line, e.value.column) == (1, 8)
+    with pytest.raises(ParseError) as e:
+        parse_document("object a;\n  $")
+    assert (e.value.line, e.value.column) == (2, 3)
+    assert str(e.value) == "line 2:3: unexpected character '$'"
 
 
 def test_map_totality_checked():

@@ -26,6 +26,7 @@ from fcn.parser import parse_document
 from fcn.protocol import RecvP, SendP, StarPP, StarXP, proto_factors, seq_proto
 from fcn.semantics import (
     Interp,
+    PPair,
     PSend,
     PTable,
     pval_enumerate,
@@ -116,6 +117,23 @@ def test_pval_show_shapes(interp):
     pv = interp.apply(PutR(A), None, RYE)
     shown = pval_show(pv, proto_factors(SendP(A)))
     assert "ryedough" in shown
+
+
+def test_lazy_pair_runs_its_thunk_once():
+    calls = []
+
+    def thunk():
+        calls.append(None)
+        return "stop", PSend(RYE, pv)  # a handle that is its own next layer
+
+    pv = PPair.lazy(thunk)
+    protos = proto_factors(StarXP(SendP(A)))
+    assert pv.left == "stop" and pv.right.rest is pv and pv.left == "stop"
+    assert pval_equal(pv, pv, protos, depth=3)
+    mapped = pval_map(pv, protos, lambda x: x + "!")
+    shown = pval_show(mapped, protos, 2)
+    assert shown == "<stop!, (ryedough, <stop!, (ryedough, #handle)>)>"
+    assert len(calls) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -126,7 +126,7 @@ def test_top_input_checked_against_boundary(interp):
 
 # Long runs must fit under the default recursion limit, which is never
 # raised: the interpreter's stack grows by a few frames per letter of a
-# word sender, and the trace walk by a few per move.
+# word sender, while the trace walk is a loop and keeps its depth.
 
 
 def test_long_mealy_word_trace():
@@ -147,12 +147,13 @@ def test_long_mealy_word_trace():
     assert events == expect + ["halted", f"result {state}"]
 
 
-def test_long_memory_script():
+@pytest.mark.parametrize("rounds", [200, 2000])
+def test_long_memory_script(rounds):
     demo = pathlib.Path(__file__).resolve().parent.parent / "demos" / "bakery.fcn"
     doc = parse_document(demo.read_text())
     rng = random.Random("long-memory")
     doughs = [RYE, WHEAT]
-    stored = [rng.choice(doughs) for _ in range(200)]
+    stored = [rng.choice(doughs) for _ in range(rounds)]
     moves = []
     for v in stored:
         moves += [ContinueMove(), RecvMove(v)]
