@@ -5,7 +5,9 @@ class FcnError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class ParseError(FcnError):
+class _Positioned(FcnError):
+    """An error that prefixes its message with its line and column."""
+
     def __init__(self, message, line=None, column=None):
         self.line = line
         self.column = column
@@ -13,7 +15,11 @@ class ParseError(FcnError):
         super().__init__(f"{loc}{message}")
 
 
-class UnknownName(FcnError):
+class ParseError(_Positioned):
+    pass
+
+
+class UnknownName(_Positioned):
     pass
 
 

@@ -1,11 +1,14 @@
 """Model-checked equality of cells and the named law suite.
 
-Two cells with the same boundary are compared by running both against the
-same batch of inputs: an environment for the left protocol plus a value
-for the top edge.  When the left protocol is loop free and every carrier
-involved is finite the batch is exhaustive; otherwise it is a seeded
-random sample and loop handles in the outputs are compared to a bounded
-observation depth.
+Every law is a builder that returns a list of checks.  A check is a pair of
+cells ``(c1, c2)``, or ``(c1, c2, cap)`` to sample at most ``cap`` inputs, or
+``(c1, ref)`` with a reference map ``ref(pv, a) -> environment`` for c2.
+Each check runs against one batch of inputs, an environment for the left
+protocol plus a value for the top edge: all of them when the left protocol
+is loop free and the carriers involved are finite and small, otherwise a
+seeded random sample, with loop handles in the outputs compared to a bounded
+observation depth.  When ``samples`` is 0 and the inputs cannot be
+enumerated, a law skips the check and ``cells_equal`` raises NotEnumerable.
 """
 
 from __future__ import annotations
@@ -86,41 +89,56 @@ class LawResult:
         return line
 
 
-def _enumerated_inputs(bound, val):
-    """All (left environment, top value) inputs, or None if the space is
-    infinite or too large."""
-    if has_loop(bound.left):
-        return None
-    try:
-        left = proto_factors(bound.left)
-        pvs = list(
-            itertools.islice(
-                pval_enumerate(left, list(_ENUM_TOKENS), val), _ENUM_CAP + 1
+def _inputs(bound, val, depth, samples, seed):
+    """The (left environment, top value) inputs for cells of this boundary:
+    every input when the space is small enough to enumerate, otherwise
+    ``samples`` seeded random ones, or None when ``samples`` is 0."""
+    left = proto_factors(bound.left)
+    if not has_loop(bound.left):
+        try:
+            pvs = list(
+                itertools.islice(
+                    pval_enumerate(left, list(_ENUM_TOKENS), val), _ENUM_CAP + 1
+                )
             )
-        )
-        tops = list(enumerate_tops(bound.top, val))
-    except NotEnumerable:
+            tops = list(sg.enumerate_values(bound.top, val))
+            if len(pvs) * len(tops) <= _ENUM_CAP:
+                return [(pv, a) for pv in pvs for a in tops]
+        except NotEnumerable:
+            pass
+    if samples == 0:
         return None
-    if len(pvs) * len(tops) > _ENUM_CAP:
-        return None
-    return [(pv, a) for pv in pvs for a in tops]
-
-
-def enumerate_tops(top, val):
-    return sg.enumerate_values(top, val)
-
-
-def _sampled_inputs(bound, val, depth, samples, seed):
     rng = random.Random(seed)
     counter = itertools.count()
-    left = proto_factors(bound.left)
-    out = []
-    for _ in range(samples):
-        mk = lambda: f"s{next(counter)}"
-        pv = rand_pval(rng, left, mk, val, depth)
-        a = rand_value(rng, bound.top, val)
-        out.append((pv, a))
-    return out
+    mk = lambda: f"s{next(counter)}"
+    return [
+        (rand_pval(rng, left, mk, val, depth), rand_value(rng, bound.top, val))
+        for _ in range(samples)
+    ]
+
+
+def _check(sig, val, cfg, c1, c2, cap=None):
+    """Does c1 agree with c2, a cell or a reference map, on every input?
+    None when there are no inputs to try; BoundaryMismatch when c2 is a
+    cell of another boundary."""
+    bound = infer_boundary(c1, sig)
+    interp = Interp(sig, val)
+    if isinstance(c2, Cell):
+        b2 = infer_boundary(c2, sig)
+        if not boundaries_equal(bound, b2):
+            raise BoundaryMismatch("cells_equal", str(bound), str(b2))
+        want = lambda pv, a: interp.apply(c2, pv, a)
+    else:
+        want = c2
+    samples = cfg.samples if cap is None else min(cfg.samples, cap)
+    inputs = _inputs(bound, val, cfg.depth, samples, cfg.seed)
+    if inputs is None:
+        return None
+    right = proto_factors(bound.right)
+    return all(
+        pval_equal(interp.apply(c1, pv, a), want(pv, a), right, cfg.depth)
+        for pv, a in inputs
+    )
 
 
 def cells_equal(
@@ -132,22 +150,12 @@ def cells_equal(
     samples: int = DEFAULT_SAMPLES,
     seed: int = DEFAULT_SEED,
 ) -> bool:
-    """Do the two cells behave identically on a shared input batch?"""
-    b1 = infer_boundary(c1, sig)
-    b2 = infer_boundary(c2, sig)
-    if not boundaries_equal(b1, b2):
-        raise BoundaryMismatch("cells_equal", str(b1), str(b2))
-    inputs = _enumerated_inputs(b1, val)
-    if inputs is None:
-        inputs = _sampled_inputs(b1, val, depth, samples, seed)
-    interp = Interp(sig, val)
-    right = proto_factors(b1.right)
-    for pv, a in inputs:
-        r1 = interp.apply(c1, pv, a)
-        r2 = interp.apply(c2, pv, a)
-        if not pval_equal(r1, r2, right, depth):
-            return False
-    return True
+    """Do the two cells behave identically on a shared input batch?  Raises
+    NotEnumerable when the inputs cannot be enumerated and ``samples`` is 0."""
+    ok = _check(sig, val, EqConfig(depth, samples, seed), c1, c2)
+    if ok is None:
+        raise NotEnumerable("cells_equal needs sampled inputs")
+    return ok
 
 
 # ---------------------------------------------------------------------------
@@ -159,7 +167,6 @@ class _Ctx:
         self.sig = sig
         self.val = val
         self.cfg = cfg
-        self.interp = Interp(sig, val)
         names = sorted(sig.objects)
         if not names:
             raise NotEnumerable("the law suite needs at least one object")
@@ -169,45 +176,25 @@ class _Ctx:
     def rng(self, law: str) -> random.Random:
         return random.Random(f"{self.cfg.seed}:{law}")
 
-    def eq_status(self, c1: Cell, c2: Cell, max_samples=None) -> str:
-        cfg = self.cfg
-        b1 = infer_boundary(c1, self.sig)
-        b2 = infer_boundary(c2, self.sig)
-        if not boundaries_equal(b1, b2):
-            return "fail"
-        if _enumerated_inputs(b1, self.val) is None and cfg.samples == 0:
-            return "skipped"
-        samples = cfg.samples
-        if max_samples is not None:
-            samples = min(samples, max_samples)
-        ok = cells_equal(
-            c1, c2, self.sig, self.val, cfg.depth, samples, cfg.seed
-        )
-        return "pass" if ok else "fail"
 
-
-def _result_from_pairs(ctx: _Ctx, law: str, pairs, max_samples=None) -> LawResult:
+def _law_result(ctx: _Ctx, law: str, checks) -> LawResult:
     ran = 0
     skipped = 0
-    for i, (c1, c2) in enumerate(pairs):
-        status = ctx.eq_status(c1, c2, max_samples)
-        if status == "fail":
-            return LawResult(law, "fail", ran, f"instance {i}")
-        if status == "skipped":
+    for i, check in enumerate(checks):
+        try:
+            ok = _check(ctx.sig, ctx.val, ctx.cfg, *check)
+        except BoundaryMismatch:
+            ok = False
+        if ok is None:
             skipped += 1
+        elif not ok:
+            return LawResult(law, "fail", ran, f"instance {i}")
         else:
             ran += 1
     if ran == 0 and skipped > 0:
         return LawResult(law, "skipped", 0, "needs sampled inputs")
     detail = f"{skipped} skipped" if skipped else ""
     return LawResult(law, "pass", ran, detail)
-
-
-def _pair_law(builder):
-    def run(ctx: _Ctx, law: str) -> LawResult:
-        return _result_from_pairs(ctx, law, builder(ctx, law))
-
-    return run
 
 
 # -- instance stock ---------------------------------------------------------
@@ -249,28 +236,24 @@ def _golden_cells(ctx):
 # -- corner laws ------------------------------------------------------------
 
 
-@_pair_law
 def _law_yank_send_h(ctx, law):
     return [
         (HComp(PutR(o), GetL(o)), IdV(o)) for o in (ctx.a, ctx.b)
     ]
 
 
-@_pair_law
 def _law_yank_send_v(ctx, law):
     return [
         (VComp(GetL(o), PutR(o)), IdH(SendP(o))) for o in (ctx.a, ctx.b)
     ]
 
 
-@_pair_law
 def _law_yank_recv_h(ctx, law):
     return [
         (HComp(GetR(o), PutL(o)), IdV(o)) for o in (ctx.a, ctx.b)
     ]
 
 
-@_pair_law
 def _law_yank_recv_v(ctx, law):
     return [
         (VComp(GetR(o), PutL(o)), IdH(RecvP(o))) for o in (ctx.a, ctx.b)
@@ -280,7 +263,6 @@ def _law_yank_recv_v(ctx, law):
 # -- category and functor laws ----------------------------------------------
 
 
-@_pair_law
 def _law_unit_beside(ctx, law):
     pairs = []
     for c in _golden_cells(ctx):
@@ -290,7 +272,6 @@ def _law_unit_beside(ctx, law):
     return pairs
 
 
-@_pair_law
 def _law_unit_above(ctx, law):
     pairs = []
     for c in _golden_cells(ctx):
@@ -300,7 +281,6 @@ def _law_unit_above(ctx, law):
     return pairs
 
 
-@_pair_law
 def _law_assoc_beside(ctx, law):
     a, b = ctx.a, ctx.b
     pairs = []
@@ -314,7 +294,6 @@ def _law_assoc_beside(ctx, law):
     return pairs
 
 
-@_pair_law
 def _law_assoc_above(ctx, law):
     a, b = ctx.a, ctx.b
     pairs = []
@@ -328,12 +307,10 @@ def _law_assoc_above(ctx, law):
     return pairs
 
 
-@_pair_law
 def _law_promote_id(ctx, law):
     return [(Promote(sg.Id(o)), IdV(o)) for o in (ctx.a, ctx.b)]
 
 
-@_pair_law
 def _law_promote_compose(ctx, law):
     a, b = ctx.a, ctx.b
     f = sg.Braid(a, b)
@@ -347,7 +324,6 @@ def _law_promote_compose(ctx, law):
     ]
 
 
-@_pair_law
 def _law_promote_tensor(ctx, law):
     a, b = ctx.a, ctx.b
     return [
@@ -373,7 +349,7 @@ def _law_interchange(ctx, law):
                 HComp(VComp(a, b), VComp(c, d)),
             )
         )
-    return _result_from_pairs(ctx, law, pairs)
+    return pairs
 
 
 # -- choice laws ------------------------------------------------------------
@@ -389,7 +365,6 @@ def _square_pairs(ctx):
     return [(f1, g1), (f2, g2)]
 
 
-@_pair_law
 def _law_choose_beta(ctx, law):
     pairs = []
     for f, g in _square_pairs(ctx):
@@ -411,7 +386,6 @@ def _cosquare_pairs(ctx):
     return [(f1, g1), (f2, g2)]
 
 
-@_pair_law
 def _law_offer_beta(ctx, law):
     pairs = []
     for f, g in _cosquare_pairs(ctx):
@@ -423,7 +397,6 @@ def _law_offer_beta(ctx, law):
     return pairs
 
 
-@_pair_law
 def _law_branch_beta(ctx, law):
     a, b = ctx.a, ctx.b
     f = Promote(sg.Inj0(a, b))
@@ -435,7 +408,6 @@ def _law_branch_beta(ctx, law):
     ]
 
 
-@_pair_law
 def _law_pairing_surjective(ctx, law):
     a, b = ctx.a, ctx.b
     pairs = []
@@ -458,7 +430,6 @@ def _law_pairing_surjective(ctx, law):
     return pairs
 
 
-@_pair_law
 def _law_copairing_surjective(ctx, law):
     a, b = ctx.a, ctx.b
     pairs = []
@@ -481,7 +452,6 @@ def _law_copairing_surjective(ctx, law):
     return pairs
 
 
-@_pair_law
 def _law_copair_coincide(ctx, law):
     a, b = ctx.a, ctx.b
     f = sg.Inj0(a, b)
@@ -509,7 +479,6 @@ def _branch_pairs(ctx):
     ]
 
 
-@_pair_law
 def _law_absorb_left(ctx, law):
     a, b = ctx.a, ctx.b
     pairs = []
@@ -525,7 +494,6 @@ def _law_absorb_left(ctx, law):
     return pairs
 
 
-@_pair_law
 def _law_absorb_right(ctx, law):
     a, b = ctx.a, ctx.b
     pairs = []
@@ -545,7 +513,6 @@ def _law_absorb_right(ctx, law):
     return pairs
 
 
-@_pair_law
 def _law_absorb_above(ctx, law):
     a, b = ctx.a, ctx.b
     s = sg.Sum(a, b)
@@ -559,7 +526,6 @@ def _law_absorb_above(ctx, law):
     return pairs
 
 
-@_pair_law
 def _law_moral_equiv_send(ctx, law):
     a, b = ctx.a, ctx.b
     fwd = dv.offer_send_forward(a, b)
@@ -570,7 +536,6 @@ def _law_moral_equiv_send(ctx, law):
     ]
 
 
-@_pair_law
 def _law_moral_equiv_recv(ctx, law):
     a, b = ctx.a, ctx.b
     split = dv.recv_to_pair(a, b)
@@ -584,7 +549,6 @@ def _law_moral_equiv_recv(ctx, law):
 # -- crossing laws ----------------------------------------------------------
 
 
-@_pair_law
 def _law_crossing_tensor(ctx, law):
     a, b = ctx.a, ctx.b
     return [
@@ -596,7 +560,6 @@ def _law_crossing_tensor(ctx, law):
     ]
 
 
-@_pair_law
 def _law_crossing_unit(ctx, law):
     return [
         (dv.crossing(u, sg.UNIT), IdH(u))
@@ -604,7 +567,6 @@ def _law_crossing_unit(ctx, law):
     ]
 
 
-@_pair_law
 def _law_crossing_sum(ctx, law):
     a, b = ctx.a, ctx.b
     pairs = []
@@ -639,37 +601,20 @@ def _law_crossing_swap(ctx, law):
     ]
     for _ in range(10):
         pairs.append(_crossing_swap_pair(ctx, gen_cell(rng, ctx.sig), ctx.a))
-    return _result_from_pairs(ctx, law, pairs)
+    return pairs
+
+
+def _carry_top(factors):
+    """The crossing cell carries the top value across unchanged: each
+    payload x becomes (x, a)."""
+    return lambda pv, a: pval_map(pv, factors, lambda x: (x, a))
 
 
 def _law_crossing_strength(ctx, law):
-    """The crossing cell carries the top value across unchanged: each
-    payload x becomes (x, a)."""
-    cfg = ctx.cfg
     protos = _loopfree_protos(ctx) + [StarXP(SendP(ctx.a)), StarPP(SendP(ctx.a))]
-    ran = 0
-    skipped = 0
-    for u in protos:
-        cell = dv.crossing(u, ctx.a)
-        bnd = infer_boundary(cell, ctx.sig)
-        inputs = _enumerated_inputs(bnd, ctx.val)
-        if inputs is None:
-            if cfg.samples == 0:
-                skipped += 1
-                continue
-            inputs = _sampled_inputs(
-                bnd, ctx.val, cfg.depth, cfg.samples, cfg.seed
-            )
-        factors = proto_factors(u)
-        for pv, a in inputs:
-            got = ctx.interp.apply(cell, pv, a)
-            want = pval_map(pv, tuple(factors), lambda x: (x, a))
-            if not pval_equal(got, want, factors, cfg.depth):
-                return LawResult(law, "fail", ran, str(u))
-        ran += 1
-    if ran == 0 and skipped:
-        return LawResult(law, "skipped", 0, "needs sampled inputs")
-    return LawResult(law, "pass", ran, f"{skipped} skipped" if skipped else "")
+    return [
+        (dv.crossing(u, ctx.a), _carry_top(proto_factors(u))) for u in protos
+    ]
 
 
 # -- iteration laws ---------------------------------------------------------
@@ -703,7 +648,6 @@ def _iterp_beta_pairs(ctx, m: IterP):
     ]
 
 
-@_pair_law
 def _law_loop_x_beta(ctx, law):
     a, b = ctx.a, ctx.b
     ms = [
@@ -718,7 +662,6 @@ def _law_loop_x_beta(ctx, law):
     return pairs
 
 
-@_pair_law
 def _law_loop_p_beta(ctx, law):
     a, b = ctx.a, ctx.b
     ms = [
@@ -732,7 +675,6 @@ def _law_loop_p_beta(ctx, law):
     return pairs
 
 
-@_pair_law
 def _law_loop_x_mediate(ctx, law):
     pairs = []
     for u in _small_protos(ctx):
@@ -767,19 +709,12 @@ def _law_comonoid_x(ctx, law):
         i = IdH(star)
         pairs.append((HComp(d, VComp(e, i)), i))
         pairs.append((HComp(d, VComp(i, e)), i))
-        heavy.append((HComp(d, VComp(d, i)), HComp(d, VComp(i, d))))
-    first = _result_from_pairs(ctx, law, pairs)
-    if first.status != "pass":
-        return first
-    # Coassociativity triples the loop nesting on the right boundary, so
-    # full-depth observation is costly; a few inputs cover the code paths.
-    second = _result_from_pairs(ctx, law, heavy, max_samples=4)
-    if second.status != "pass":
-        return second
-    return LawResult(law, "pass", first.instances + second.instances)
+        # Coassociativity triples the loop nesting on the right boundary, so
+        # full-depth observation is costly; a few inputs cover the code paths.
+        heavy.append((HComp(d, VComp(d, i)), HComp(d, VComp(i, d)), 4))
+    return pairs + heavy
 
 
-@_pair_law
 def _law_monoid_p(ctx, law):
     pairs = []
     for u in _small_protos(ctx):
@@ -793,7 +728,6 @@ def _law_monoid_p(ctx, law):
     return pairs
 
 
-@_pair_law
 def _law_comonoid_x_natural(ctx, law):
     a, b = ctx.a, ctx.b
     pairs = []
@@ -806,7 +740,6 @@ def _law_comonoid_x_natural(ctx, law):
     return pairs
 
 
-@_pair_law
 def _law_monoid_p_natural(ctx, law):
     a, b = ctx.a, ctx.b
     pairs = []
@@ -834,21 +767,15 @@ def _law_comonad_x(ctx, law):
             (
                 HComp(d, dv.duplicate_x(star)),
                 HComp(d, dv.simple_iter_x(dv.duplicate_x(u), ctx.sig)),
+                2,
             )
         )
-    first = _result_from_pairs(ctx, law, pairs)
-    if first.status != "pass":
-        return first
     # Coassociativity compares environments over a triply nested loop
     # protocol, whose observation cost explodes with depth; a couple of
     # inputs at full depth already exercise every code path.
-    second = _result_from_pairs(ctx, law, heavy[:1], max_samples=2)
-    if second.status != "pass":
-        return second
-    return LawResult(law, "pass", first.instances + second.instances)
+    return pairs + heavy[:1]
 
 
-@_pair_law
 def _law_monad_p(ctx, law):
     pairs = []
     for u in _small_protos(ctx):
@@ -876,15 +803,7 @@ def _law_rewrite_sound(ctx, law):
     cells = list(_golden_cells(ctx))
     for _ in range(20):
         cells.append(gen_cell(rng, ctx.sig))
-    pairs = []
-    for c in cells:
-        report = rewrite(c)
-        b1 = infer_boundary(c, ctx.sig)
-        b2 = infer_boundary(report.result, ctx.sig)
-        if not boundaries_equal(b1, b2):
-            return LawResult(law, "fail", 0, "boundary changed")
-        pairs.append((c, report.result))
-    return _result_from_pairs(ctx, law, pairs)
+    return [(c, rewrite(c).result) for c in cells]
 
 
 LAWS = [
@@ -943,4 +862,6 @@ def run_laws(sig: sg.Signature, val: sg.Valuation, cfg: EqConfig = None, names=N
     else:
         picked = LAWS
     ctx = _Ctx(sig, val, cfg)
-    return [fn(ctx, name) for name, fn in sorted(picked)]
+    return [
+        _law_result(ctx, name, build(ctx, name)) for name, build in sorted(picked)
+    ]

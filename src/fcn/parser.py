@@ -364,7 +364,7 @@ class _Parser:
         if t.text in self.doc.aliases:
             return self.doc.aliases[t.text]
         if t.text not in self.doc.sig.objects:
-            raise UnknownName(f"line {t.line}:{t.col}: unknown object {t.text!r}")
+            raise UnknownName(f"unknown object {t.text!r}", line=t.line, column=t.col)
         return sg.GenObj(t.text)
 
     # -- values -------------------------------------------------------------
@@ -440,7 +440,7 @@ class _Parser:
             return RecvP(sg.normalize_obj(self.obj_atom()))
         if t.text in self.doc.protocols:
             return self.doc.protocols[t.text]
-        raise UnknownName(f"line {t.line}:{t.col}: unknown protocol {t.text!r}")
+        raise UnknownName(f"unknown protocol {t.text!r}", line=t.line, column=t.col)
 
     # -- morphism expressions -----------------------------------------------
 
@@ -524,7 +524,7 @@ class _Parser:
             return sg.ConstMor(obj, v)
         if word in self.doc.sig.morphisms:
             return sg.GenMor(word)
-        raise UnknownName(f"line {t.line}:{t.col}: unknown morphism {word!r}")
+        raise UnknownName(f"unknown morphism {word!r}", line=t.line, column=t.col)
 
     # -- cell terms ---------------------------------------------------------
 
@@ -659,7 +659,7 @@ class _Parser:
             return dv.word_sender(values, a)
         if word in self.doc.cells:
             return self.doc.cells[word].term
-        raise UnknownName(f"line {t.line}:{t.col}: unknown cell term {word!r}")
+        raise UnknownName(f"unknown cell term {word!r}", line=t.line, column=t.col)
 
 
 # ---------------------------------------------------------------------------

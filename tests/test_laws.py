@@ -1,10 +1,13 @@
 import pytest
 
 import goldens as g
+from fcn import laws
 from fcn import signature as sg
-from fcn.cells import GetR, HComp, IdV, Promote, PutR, VComp
-from fcn.errors import BoundaryMismatch
-from fcn.laws import EqConfig, LawResult, cells_equal
+from fcn.cells import GetR, HComp, IdH, IdV, Promote, PutR, VComp
+from fcn.derived import simple_iter_x, vchain
+from fcn.errors import BoundaryMismatch, NotEnumerable
+from fcn.laws import EqConfig, LawResult, cells_equal, run_laws
+from fcn.protocol import SendP
 
 A = g.DOUGH
 
@@ -39,6 +42,32 @@ def test_loop_cells_compared_by_sampling(bakery):
         VComp(PutR(A), VComp(GetR(A), Promote(g.SWAP_DOUGH))), IdV(A), IdH(DONE)
     )
     assert not cells_equal(g.memory, swapped, sig, val, depth=3, samples=16)
+
+
+def test_no_inputs_to_try_raises(bakery):
+    sig, val = bakery
+    idle = simple_iter_x(IdH(SendP(A)), sig)
+    swap = simple_iter_x(vchain(g.GetL(A), Promote(g.SWAP_DOUGH), PutR(A)), sig)
+    assert not cells_equal(idle, swap, sig, val, samples=16)
+    # the left protocol is a loop: no input can be enumerated
+    with pytest.raises(NotEnumerable):
+        cells_equal(idle, swap, sig, val, samples=0)
+
+
+def test_failing_law_names_its_instance(bakery, monkeypatch):
+    sig, val = bakery
+    name, _ = laws.LAWS[0]
+
+    def build(ctx, law):
+        return [
+            (HComp(PutR(A), g.GetL(A)), IdV(A)),
+            (Promote(g.SWAP_DOUGH), IdV(A)),
+        ]
+
+    monkeypatch.setattr(laws, "LAWS", [(name, build)] + laws.LAWS[1:])
+    [row] = run_laws(sig, val, names=[name])
+    assert (row.status, row.instances, row.detail) == ("fail", 1, "instance 1")
+    assert str(row).endswith("fail     1 instance  (instance 1)")
 
 
 def test_sampling_deterministic(bakery):

@@ -104,6 +104,7 @@ def test_unknown_names_have_positions():
     with pytest.raises(UnknownName) as e:
         doc("cell k : [ I | nope -> I | I ] = [f];")
     assert "line" in str(e.value)
+    assert (e.value.line, e.value.column) == (8, 16)
 
 
 def test_parse_error_position():
