@@ -13,7 +13,6 @@ import random
 from .protocol import (
     DONE,
     ChooseP,
-    DoneP,
     OfferP,
     Protocol,
     RecvP,
@@ -83,13 +82,12 @@ def rand_value(rng: random.Random, obj, val: Valuation):
 
 
 def rand_pval(rng: random.Random, protos, mkpayload, val: Valuation, depth=3):
-    """A random environment over a protocol factor list.
+    """A random environment over a flat protocol factor list.
 
     Finite loops have at most `depth` layers; right-driven loops become
     eventually-constant handles that settle after `depth` rounds.  Fresh
     leaf payloads come from mkpayload().
     """
-    protos = tuple(protos)
     if not protos:
         return mkpayload()
     head, rest = protos[0], protos[1:]
@@ -97,10 +95,6 @@ def rand_pval(rng: random.Random, protos, mkpayload, val: Valuation, depth=3):
         return rand_pval(
             rng, (head,), lambda: rand_pval(rng, rest, mkpayload, val, depth), val, depth
         )
-    if isinstance(head, DoneP):
-        return mkpayload()
-    if isinstance(head, SeqP):
-        return rand_pval(rng, proto_factors(head), mkpayload, val, depth)
     if isinstance(head, SendP):
         return PSend(rand_value(rng, head.obj, val), mkpayload())
     if isinstance(head, RecvP):
@@ -119,10 +113,10 @@ def rand_pval(rng: random.Random, protos, mkpayload, val: Valuation, depth=3):
             # a handle settles after depth rounds into its own next layer
             nxt = handle
             if depth > 0:
-                nxt = rand_pval(rng, rp[1:], mkpayload, val, depth - 1)
+                nxt = rand_pval(rng, rp[-1:], mkpayload, val, depth - 1)
             return (
                 rand_pval(rng, lp, mkpayload, val, depth),
-                rand_pval(rng, rp[:1], lambda: nxt, val, depth),
+                rand_pval(rng, rp[:-1], lambda: nxt, val, depth),
             )
 
         handle = PPair.lazy(thunk)
@@ -135,9 +129,11 @@ def rand_pval(rng: random.Random, protos, mkpayload, val: Valuation, depth=3):
         lp, rp = branches(head)
         if not step:
             return PInl(rand_pval(rng, lp, mkpayload, val, depth))
-        # the tower beneath a layer has one layer fewer (an offer has no tail)
-        tail = lambda: rand_pval(rng, rp[1:], mkpayload, val, depth - 1)
-        return PInr(rand_pval(rng, rp[:1], tail, val, depth))
+        if isinstance(head, OfferP):
+            return PInr(rand_pval(rng, rp, mkpayload, val, depth))
+        # the tower beneath a layer has one layer fewer
+        tail = lambda: rand_pval(rng, rp[-1:], mkpayload, val, depth - 1)
+        return PInr(rand_pval(rng, rp[:-1], tail, val, depth))
     raise TypeError(f"unknown protocol form {head!r}")
 
 

@@ -11,6 +11,13 @@ eventually).
 Equality of protocols is loop-unrolling equality: `StarX U` is the same
 protocol as `Choose(Done, Seq[U, StarX U])`, and `StarP U` the same as
 `Offer(Done, Seq[U, StarP U])`.  `proto_equal` decides this by bisimulation.
+
+That is the only equation.  In particular a sequence does not distribute
+over a branch: `(U & W) . V` is not `(U . V) & (W . V)`, and likewise for
+`+`.  The interpreter gives both sides the same environments, but
+boundaries are compared with `proto_equal`, so identifying them would
+change which terms typecheck: a cell ending in `(U & W) . V` would meet a
+projection `Pi0(U . V, W . V)` that today it does not.
 """
 
 from __future__ import annotations
@@ -108,19 +115,14 @@ def normalize_proto(p: Protocol) -> Protocol:
     return SeqP(tuple(parts))
 
 
-# Protocols are immutable, and the interpreter refactors the same terms
-# constantly, so factor lists are memoized by identity.  The key object is
-# kept in the value to pin its id.
-_FACTORS_CACHE = {}
-
-
 def proto_factors(p: Protocol) -> tuple:
-    """Flat sequential factor list; branch and loop nodes count as atoms."""
-    hit = _FACTORS_CACHE.get(id(p))
-    if hit is not None:
-        return hit[1]
-    out = _proto_factors(p)
-    _FACTORS_CACHE[id(p)] = (p, out)
+    """Flat sequential factor list; branch and loop nodes count as atoms.
+    Stored on the node on first use, outside the dataclass fields, so
+    equality, hashing and printing ignore it."""
+    out = getattr(p, "_factors", None)
+    if out is None:
+        out = _proto_factors(p)
+        object.__setattr__(p, "_factors", out)
     return out
 
 
@@ -178,10 +180,6 @@ def star_p_unfold(p: StarPP) -> Protocol:
     return OfferP(DONE, seq_proto(p.body, p))
 
 
-def _is_star(p):
-    return isinstance(p, (StarXP, StarPP))
-
-
 def proto_equal(p: Protocol, q: Protocol) -> bool:
     """Loop-unrolling equality, decided by bisimulation on regular trees."""
     return _bisim(normalize_proto(p), normalize_proto(q), set())
@@ -193,7 +191,9 @@ def _bisim(p, q, seen):
     key = (p, q)
     if key in seen:
         return True
-    seen = seen | {key}
+    # one seen-set for the whole call: results combine only by `and`, so a
+    # pair assumed equal here that turns out unequal fails the whole call
+    seen.add(key)
     # unroll a loop when the other side has branch (or different loop) shape
     if isinstance(p, StarXP) and not (isinstance(q, StarXP)):
         return _bisim(star_x_unfold(p), q, seen)

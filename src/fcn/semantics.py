@@ -27,6 +27,12 @@ its body's output, to reach the tower beneath.
 A loop protocol is identified with its one-step unrolling, so each protocol
 shape has one environment: a right-driven loop shares the pair of a choice,
 and a left-driven loop the tagged value of an offer.
+
+The environment walkers (`pval_map`, `pval_equal`, `pval_show`,
+`pval_enumerate`) take flat factor lists, as `proto_factors` returns them,
+and `branches` hands them the flat lists of a node's two sides.  So no
+walker meets `done` or a nested sequence: `done` is the empty list, and a
+loop's step is its body's factors followed by the loop itself.
 """
 
 from __future__ import annotations
@@ -38,14 +44,11 @@ from dataclasses import dataclass
 from .errors import IllTypedValue, InfiniteRecvCarrier, NotEnumerable
 from .protocol import (
     ChooseP,
-    DoneP,
     OfferP,
     RecvP,
     SendP,
-    SeqP,
     StarPP,
     StarXP,
-    normalize_proto,
     proto_factors,
 )
 from .cells import (
@@ -165,11 +168,12 @@ def expect(pv, shape):
 
 
 def branches(head):
-    """The factor lists of the two sides of a binary node: the two branches
-    of a choice or an offer, or the stop and the step of a loop."""
+    """The flat factor lists of the two sides of a binary node: the two
+    branches of a choice or an offer, or the stop and the step of a loop.
+    A loop's step is its body's factors followed by the loop itself."""
     if isinstance(head, (StarXP, StarPP)):
-        return (), (head.body, head)
-    return (head.left,), (head.right,)
+        return (), proto_factors(head.body) + (head,)
+    return proto_factors(head.left), proto_factors(head.right)
 
 
 # ---------------------------------------------------------------------------
@@ -177,7 +181,7 @@ def branches(head):
 
 
 def pval_map(pv, protos, fn):
-    """Apply fn to every payload of an environment over the given protocol
+    """Apply fn to every payload of an environment over a flat protocol
     factor list.  Loop layers under a handle are mapped lazily."""
     if not protos:
         return fn(pv)
@@ -185,14 +189,10 @@ def pval_map(pv, protos, fn):
     if rest:
         # map head's leaves, which are environments over rest
         fn = lambda inner, fn=fn: pval_map(inner, rest, fn)
-    if isinstance(head, DoneP):
-        return fn(pv)
     if isinstance(head, SendP):
         return PSend(pv.value, fn(pv.rest))
     if isinstance(head, RecvP):
         return PTable({k: fn(v) for k, v in pv.table.items()})
-    if isinstance(head, SeqP):
-        return pval_map(pv, proto_factors(head), fn)
     if isinstance(head, (ChooseP, StarXP)):
         pv = expect(pv, PPair)
         lp, rp = branches(head)
@@ -339,7 +339,7 @@ class Interp:
 
 def _map_unit(pv, proto, k):
     """The leaves of a silent cell: each payload x becomes k((x, ())."""
-    return pval_map(pv, (normalize_proto(proto),), lambda x: k((x, UNITV)))
+    return pval_map(pv, proto_factors(proto), lambda x: k((x, UNITV)))
 
 
 # ---------------------------------------------------------------------------
@@ -347,7 +347,7 @@ def _map_unit(pv, proto, k):
 
 
 def pval_equal(p, q, protos, depth, payload_eq=None) -> bool:
-    """Observational equality of environments over a protocol factor list.
+    """Observational equality of environments over a flat factor list.
 
     Loop handles are compared by observing up to `depth` unrollings; at
     depth zero any two handles count as equal.  Payloads at the leaves are
@@ -361,16 +361,12 @@ def pval_equal(p, q, protos, depth, payload_eq=None) -> bool:
     if rest:
         # compare head's leaves, which are environments over rest
         payload_eq = lambda x, y, eq=payload_eq: pval_equal(x, y, rest, depth, eq)
-    if isinstance(head, DoneP):
-        return payload_eq(p, q)
     if isinstance(head, SendP):
         return p.value == q.value and payload_eq(p.rest, q.rest)
     if isinstance(head, RecvP):
         if set(p.table) != set(q.table):
             return False
         return all(payload_eq(p.table[k], q.table[k]) for k in p.table)
-    if isinstance(head, SeqP):
-        return pval_equal(p, q, proto_factors(head), depth, payload_eq)
     if isinstance(head, (ChooseP, StarXP)):
         lp, rp = branches(head)
         right_eq = payload_eq
@@ -378,7 +374,7 @@ def pval_equal(p, q, protos, depth, payload_eq=None) -> bool:
             if depth <= 0:
                 return True
             # the body is compared at depth, the loop beneath it at depth - 1
-            rp, tail = rp[:1], rp[1:]
+            rp, tail = rp[:-1], rp[-1:]
             right_eq = lambda x, y: pval_equal(x, y, tail, depth - 1, payload_eq)
         p = expect(p, PPair)
         q = expect(q, PPair)
@@ -396,9 +392,8 @@ def pval_equal(p, q, protos, depth, payload_eq=None) -> bool:
 
 
 def pval_enumerate(protos, payloads, val: Valuation):
-    """All environments over a loop-free protocol factor list, with leaf
-    payloads drawn from the given list."""
-    protos = tuple(protos)
+    """All environments over a flat, loop-free protocol factor list, with
+    leaf payloads drawn from the given list."""
     if not protos:
         yield from payloads
         return
@@ -406,9 +401,6 @@ def pval_enumerate(protos, payloads, val: Valuation):
     if rest:
         inner = list(pval_enumerate(rest, payloads, val))
         yield from pval_enumerate((head,), inner, val)
-        return
-    if isinstance(head, DoneP):
-        yield from payloads
         return
     if isinstance(head, SendP):
         for v in enumerate_values(head.obj, val):
@@ -419,9 +411,6 @@ def pval_enumerate(protos, payloads, val: Valuation):
         keys = list(enumerate_values(head.obj, val))
         for combo in itertools.product(payloads, repeat=len(keys)):
             yield PTable(dict(zip(keys, combo)))
-        return
-    if isinstance(head, SeqP):
-        yield from pval_enumerate(proto_factors(head), payloads, val)
         return
     # a loop has no finite set of environments: it falls through to the raise
     if isinstance(head, ChooseP):
@@ -442,32 +431,32 @@ def pval_enumerate(protos, payloads, val: Valuation):
     raise NotEnumerable(f"cannot enumerate environments of {head}")
 
 
-def pval_show(pv, protos, depth=2) -> str:
-    """Render an environment, expanding loop handles to `depth` layers."""
-    protos = tuple(protos)
+def _show_payload(x) -> str:
+    if isinstance(x, tuple):
+        return "(" + ", ".join(_show_payload(i) for i in x) + ")"
+    return str(x)
+
+
+def pval_show(pv, protos, depth=2, show=_show_payload) -> str:
+    """Render an environment over a flat protocol factor list, expanding
+    loop handles to `depth` layers.  Payloads at the leaves are rendered
+    with show."""
     if not protos:
-        return _show_payload(pv)
+        return show(pv)
     head, rest = protos[0], protos[1:]
     if rest:
-        # show the nested environment by treating the tail as the payload
-        return pval_show(
-            pval_map(pv, (head,), lambda x: _Wrapped(x, rest, depth)),
-            (head,),
-            depth,
-        )
-    if isinstance(head, DoneP):
-        return _show_payload(pv)
+        # head's leaves are environments over rest, shown at this call's
+        # depth: d is bound before a loop head lowers depth below
+        show = lambda x, s=show, d=depth: pval_show(x, rest, d, s)
     if isinstance(head, SendP):
-        return f"({pv.value}, {_show_payload(pv.rest)})"
+        return f"({pv.value}, {show(pv.rest)})"
     if isinstance(head, RecvP):
         inside = ", ".join(
-            f"{k} -> {_show_payload(v)}" for k, v in sorted(
+            f"{k} -> {show(v)}" for k, v in sorted(
                 pv.table.items(), key=lambda kv: str(kv[0])
             )
         )
         return "{" + inside + "}"
-    if isinstance(head, SeqP):
-        return pval_show(pv, proto_factors(head), depth)
     if isinstance(head, (ChooseP, StarXP)):
         if isinstance(head, StarXP):
             if depth <= 0:
@@ -475,25 +464,12 @@ def pval_show(pv, protos, depth=2) -> str:
             depth -= 1
         lp, rp = branches(head)
         pv = expect(pv, PPair)
-        return f"<{pval_show(pv.left, lp, depth)}, {pval_show(pv.right, rp, depth)}>"
+        left = pval_show(pv.left, lp, depth, show)
+        return f"<{left}, {pval_show(pv.right, rp, depth, show)}>"
     if isinstance(head, (OfferP, StarPP)):
         pv = expect(pv, TAGGED)
         step = isinstance(pv, PInr)
         word = ("L", "R") if isinstance(head, OfferP) else ("stop", "step")
-        return f"{word[step]} {pval_show(pv.value, branches(head)[step], depth)}"
+        side = branches(head)[step]
+        return f"{word[step]} {pval_show(pv.value, side, depth, show)}"
     raise TypeError(f"unknown protocol form {head!r}")
-
-
-@dataclass
-class _Wrapped:
-    pv: object
-    protos: tuple
-    depth: int
-
-
-def _show_payload(x) -> str:
-    if isinstance(x, _Wrapped):
-        return pval_show(x.pv, x.protos, x.depth)
-    if isinstance(x, tuple):
-        return "(" + ", ".join(_show_payload(i) for i in x) + ")"
-    return str(x)

@@ -85,18 +85,14 @@ def normalize_obj(e: ObjExpr) -> ObjExpr:
     return Tensor(tuple(factors))
 
 
-# Object expressions are immutable and refactored constantly, so factor
-# lists are memoized by identity; the key object is kept to pin its id.
-_FACTORS_CACHE = {}
-
-
 def obj_factors(e: ObjExpr) -> tuple:
-    """The flat tensor factor list of e; Sum and Stack nodes count as atoms."""
-    hit = _FACTORS_CACHE.get(id(e))
-    if hit is not None:
-        return hit[1]
-    out = _obj_factors(e)
-    _FACTORS_CACHE[id(e)] = (e, out)
+    """The flat tensor factor list of e; Sum and Stack nodes count as atoms.
+    Stored on the node on first use, outside the dataclass fields, so
+    equality, hashing and printing ignore it."""
+    out = getattr(e, "_factors", None)
+    if out is None:
+        out = _obj_factors(e)
+        object.__setattr__(e, "_factors", out)
     return out
 
 

@@ -22,17 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import IllTypedValue, ScriptOverrun, ScriptUnderrun, WrongMove
-from .protocol import (
-    ChooseP,
-    DoneP,
-    OfferP,
-    RecvP,
-    SendP,
-    SeqP,
-    StarPP,
-    StarXP,
-    proto_factors,
-)
+from .protocol import ChooseP, OfferP, RecvP, SendP, StarPP, StarXP, proto_factors
 from .semantics import TAGGED, Interp, PInr, PPair, PSend, PTable, branches, expect
 from .signature import Value, check_value
 
@@ -82,15 +72,15 @@ def run_trace(interp: Interp, cell, top_value: Value, moves) -> list:
     pv = interp.apply(cell, None, top_value)
     events = []
     moves = list(moves)
-    pos = _walk(pv, tuple(proto_factors(b.right)), moves, events)
+    pos = _walk(pv, proto_factors(b.right), moves, events)
     if pos < len(moves):
         raise ScriptOverrun(f"{len(moves) - pos} unused moves, next: {moves[pos]}")
     return events
 
 
 def _walk(pv, protos, moves, events) -> int:
-    """Walk pv over the factor list protos, one move or event per step, and
-    return how many moves were consumed."""
+    """Walk pv over the flat factor list protos, one move or event per step,
+    and return how many moves were consumed."""
     pos = 0
 
     def need(kinds, what):
@@ -103,9 +93,7 @@ def _walk(pv, protos, moves, events) -> int:
 
     while protos:
         head, protos = protos[0], protos[1:]
-        if isinstance(head, SeqP):
-            protos = tuple(head.parts) + protos
-        elif isinstance(head, SendP):
+        if isinstance(head, SendP):
             pv = expect(pv, PSend)
             events.append(f"sent {pv.value}")
             pv = pv.rest
@@ -137,7 +125,7 @@ def _walk(pv, protos, moves, events) -> int:
                 events.append("more" if right else "halted")
             pv = tagged.value
             protos = branches(head)[right] + protos
-        elif not isinstance(head, DoneP):
+        else:
             raise TypeError(f"unknown protocol form {head!r}")
     x, bottom = pv
     events.append(f"result {bottom}")

@@ -1,6 +1,12 @@
+import gc
+import weakref
+
+import pytest
 from hypothesis import given, strategies as st
 
 from fcn import signature as sg
+from fcn.cells import HComp, IdH, Pi0, infer_boundary
+from fcn.errors import BoundaryMismatch
 from fcn.protocol import (
     ChooseP,
     DONE,
@@ -18,6 +24,7 @@ from fcn.protocol import (
     star_p_unfold,
     star_x_unfold,
 )
+from fcn.semantics import pval_enumerate, pval_show
 
 A = sg.GenObj("a")
 B = sg.GenObj("b")
@@ -107,3 +114,44 @@ def test_has_loop():
 def test_proto_equal_distinguishes_choice_sides():
     assert not proto_equal(ChooseP(SEND_A, RECV_B), ChooseP(RECV_B, SEND_A))
     assert not proto_equal(OfferP(SEND_A, RECV_B), ChooseP(SEND_A, RECV_B))
+
+
+def test_factor_lists_do_not_pin_terms():
+    # freshly built terms, never normalized before
+    p = SeqP((SEND_A, SeqP((StarXP(SeqP((RECV_B, DONE))), SEND_A))))
+    e = sg.Tensor((A, sg.Tensor((B, sg.UNIT))))
+    u = SeqP((SendP(sg.Tensor((A, B))), RECV_B))
+    c = HComp(IdH(u), IdH(SeqP((u, DONE))))
+    sig = sg.Signature()
+    for name in ("a", "b"):
+        sig.declare_object(name)
+    assert len(proto_factors(p)) == 3
+    assert sg.obj_factors(e) == (A, B)
+    assert infer_boundary(c, sig).left == seq_proto(SendP(sg.tensor_obj(A, B)), RECV_B)
+    refs = [weakref.ref(x) for x in (p, e, u, c, c.b.proto)]
+    del p, e, u, c
+    gc.collect()
+    assert [r() for r in refs] == [None] * len(refs)
+
+
+def test_sequence_does_not_distribute_over_branch():
+    # (U & W) . V and (U . V) & (W . V) have the same environments, but
+    # proto_equal keeps them apart, so only the second meets a projection
+    # (see the module docstring).
+    val = sg.Valuation(carriers={"a": ("a1",), "b": ("b1", "b2")})
+    sig = sg.Signature()
+    for name in ("a", "b"):
+        sig.declare_object(name)
+    u, w, v = SEND_A, RECV_B, SEND_A
+    for branch in (ChooseP, OfferP):
+        before = seq_proto(branch(u, w), v)
+        after = branch(seq_proto(u, v), seq_proto(w, v))
+        assert not proto_equal(before, after)
+        envs = list(pval_enumerate(proto_factors(before), ["x"], val))
+        assert [pval_show(e, proto_factors(before)) for e in envs] == [
+            pval_show(e, proto_factors(after)) for e in envs
+        ]
+    pick = Pi0(seq_proto(u, v), seq_proto(w, v))
+    infer_boundary(HComp(IdH(ChooseP(seq_proto(u, v), seq_proto(w, v))), pick), sig)
+    with pytest.raises(BoundaryMismatch):
+        infer_boundary(HComp(IdH(seq_proto(ChooseP(u, w), v)), pick), sig)

@@ -23,7 +23,16 @@ from fcn.cells import (
 from fcn.errors import IllTypedValue, InfiniteRecvCarrier
 from fcn.gen import gen_cell, rand_pval, rand_value
 from fcn.parser import parse_document
-from fcn.protocol import RecvP, SendP, StarPP, StarXP, proto_factors, seq_proto
+from fcn.protocol import (
+    DONE,
+    OfferP,
+    RecvP,
+    SendP,
+    StarPP,
+    StarXP,
+    proto_factors,
+    seq_proto,
+)
 from fcn.semantics import (
     Interp,
     PPair,
@@ -134,6 +143,116 @@ def test_lazy_pair_runs_its_thunk_once():
     shown = pval_show(mapped, protos, 2)
     assert shown == "<stop!, (ryedough, <stop!, (ryedough, #handle)>)>"
     assert len(calls) == 1
+
+
+# Environments over nested shapes, drawn by rand_pval at depths 0-3: each
+# row is the pval_show string at that depth and the pval_equal verdicts
+# against a second draw at depths 0-3 (T equal, F not).
+OVEN = g.OVEN
+FLOUR = sg.GenObj("flour")
+NESTED_SHAPES = [
+    (OfferP(seq_proto(RecvP(OVEN), SendP(FLOUR)), StarPP(DONE)), [
+        ("L {hot -> (wheat, x0)}", "FFFF"),
+        ("L {hot -> (wheat, x0)}", "FFFF"),
+        ("L {hot -> (rye, x0)}", "FFFF"),
+        ("L {hot -> (wheat, x1)}", "FFFF"),
+    ]),
+    # an offer's right branch has no tail, unlike a loop's step
+    (OfferP(RecvP(OVEN), seq_proto(SendP(FLOUR), StarPP(DONE))), [
+        ("L {hot -> x0}", "FFFF"),
+        ("L {hot -> x1}", "FFFF"),
+        ("R (rye, step step stop x0)", "FFFF"),
+        ("L {hot -> x0}", "FFFF"),
+    ]),
+    (StarXP(seq_proto(SendP(A), SendP(g.BREAD))), [
+        ("#handle", "TFFF"),
+        ("<x1, (wheatdough, (ryeloaf, #handle))>", "TFFF"),
+        (
+            "<x0, (ryedough, (wheatloaf, "
+            "<x0, (wheatdough, (wheatloaf, #handle))>))>",
+            "TFFF",
+        ),
+        (
+            "<x1, (wheatdough, (wheatloaf, "
+            "<x1, (wheatdough, (ryeloaf, "
+            "<x0, (wheatdough, (ryeloaf, #handle))>))>))>",
+            "TFFF",
+        ),
+    ]),
+    (StarPP(seq_proto(SendP(A), RecvP(OVEN))), [
+        ("stop x1", "FFFF"),
+        ("stop x0", "FFFF"),
+        ("stop x0", "FFFF"),
+        (
+            "step (wheatdough, {hot -> step (wheatdough, "
+            "{hot -> step (wheatdough, {hot -> stop x1})})})",
+            "FFFF",
+        ),
+    ]),
+    (StarXP(DONE), [
+        ("#handle", "TTTT"),
+        ("<x1, #handle>", "TFFF"),
+        ("<x1, <x1, #handle>>", "TFFF"),
+        ("<x0, <x0, <x1, #handle>>>", "TTTT"),
+    ]),
+    (StarPP(DONE), [
+        ("stop x0", "FFFF"),
+        ("stop x0", "TTTT"),
+        ("stop x1", "TTTT"),
+        ("stop x0", "TTTT"),
+    ]),
+    (StarXP(seq_proto(SendP(A), StarXP(SendP(OVEN)))), [
+        ("#handle", "TTTT"),
+        ("<x0, (wheatdough, #handle)>", "TFFF"),
+        ("<x0, (ryedough, <<x0, (ryedough, #handle)>, (hot, #handle)>)>", "TTTT"),
+        (
+            "<x1, (ryedough, <<x0, (ryedough, <<x1, (wheatdough, #handle)>, "
+            "(hot, #handle)>)>, (hot, <<x0, (ryedough, "
+            "<<x1, (wheatdough, #handle)>, (hot, #handle)>)>, "
+            "(hot, #handle)>)>)>",
+            "TFFF",
+        ),
+    ]),
+    (StarPP(seq_proto(SendP(A), StarPP(RecvP(OVEN)))), [
+        ("stop x0", "FFFF"),
+        ("stop x1", "FFFF"),
+        ("stop x0", "TTTT"),
+        (
+            "step (ryedough, step {hot -> step {hot -> stop step (wheatdough, "
+            "step {hot -> step {hot -> stop stop x1}})}})",
+            "FFFF",
+        ),
+    ]),
+    (StarXP(seq_proto(RecvP(OVEN), StarPP(SendP(A)))), [
+        ("#handle", "TFFF"),
+        ("<x0, {hot -> step (wheatdough, stop #handle)}>", "TFFF"),
+        (
+            "<x0, {hot -> step (ryedough, step (wheatdough, "
+            "stop <x0, {hot -> step (wheatdough, stop #handle)}>))}>",
+            "TFFF",
+        ),
+        (
+            "<x0, {hot -> stop <x1, {hot -> stop <x1, {hot -> stop #handle}>}>}>",
+            "TTFF",
+        ),
+    ]),
+]
+
+
+@pytest.mark.parametrize("proto, rows", NESTED_SHAPES, ids=[str(p) for p, _ in NESTED_SHAPES])
+def test_walkers_on_nested_shapes(interp, proto, rows):
+    protos = proto_factors(proto)
+    for depth, (want_shown, want_eq) in enumerate(rows):
+        rng = random.Random(f"{proto}/{depth}")
+        mk = lambda: rng.choice(("x0", "x1"))
+        pv = rand_pval(rng, protos, mk, interp.val, depth)
+        pw = rand_pval(rng, protos, mk, interp.val, depth)
+        shown = pval_show(pv, protos, depth)
+        assert shown == want_shown
+        mapped = pval_map(pv, protos, str.upper)
+        assert pval_show(mapped, protos, depth) == shown.replace("x", "X")
+        eq = "".join("TF"[not pval_equal(pv, pw, protos, d)] for d in range(4))
+        assert eq == want_eq
 
 
 # ---------------------------------------------------------------------------
