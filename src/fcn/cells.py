@@ -9,7 +9,16 @@ outputs.
 `infer_boundary` assigns each well-formed term its boundary or raises
 `BoundaryMismatch` / `IllTypedSubterm`.  Boundary comparisons go through
 loop-unrolling protocol equality, so a loop protocol composes directly with
-its one-step unrolling.
+its one-step unrolling.  `boundary` is the one place a boundary is
+normalized; every other boundary part is normal already.
+
+Each cell node stores its boundary on itself, with the signature it was
+inferred under, outside the dataclass fields (as `proto_factors` stores a
+factor list), so equality, hashing and printing ignore it.  A stored
+boundary is reused only under the same `Signature` object.  That is sound
+because a signature never changes a morphism's type: `declare_morphism`
+refuses a second declaration of a name with another type, and adding
+objects or new morphisms changes no boundary that was already inferred.
 """
 
 from __future__ import annotations
@@ -287,141 +296,100 @@ def _require_proto(site, expected, found):
 
 
 def _require_obj(site, expected, found):
-    if normalize_obj(expected) != normalize_obj(found):
+    if expected != found:
         raise BoundaryMismatch(site, expected, found)
 
 
 def infer_boundary(c: Cell, sig: Signature) -> Boundary:
-    if isinstance(c, Promote):
-        dom, cod = infer_mor_type(c.mor, sig)
-        return boundary(DONE, dom, cod, DONE)
-    if isinstance(c, GetL):
-        return boundary(SendP(c.obj), UNIT, c.obj, DONE)
-    if isinstance(c, PutR):
-        return boundary(DONE, c.obj, UNIT, SendP(c.obj))
-    if isinstance(c, GetR):
-        return boundary(DONE, UNIT, c.obj, RecvP(c.obj))
-    if isinstance(c, PutL):
-        return boundary(RecvP(c.obj), c.obj, UNIT, DONE)
-    if isinstance(c, IdV):
-        return boundary(DONE, c.obj, c.obj, DONE)
-    if isinstance(c, IdH):
-        return boundary(c.proto, UNIT, UNIT, c.proto)
-    if isinstance(c, HComp):
+    """The boundary of c under sig, or BoundaryMismatch / IllTypedSubterm.
+
+    The result is stored on c together with sig, outside the dataclass
+    fields, and reused only for the same sig object; a failed inference
+    stores nothing.  Every subterm stores its own boundary the same way,
+    so each node of a term is typed once per signature.  The rules are
+    inline, so a composite costs one stack frame per level."""
+    stored = getattr(c, "_boundary", None)
+    if stored is not None and stored[0] is sig:
+        return stored[1]
+    if isinstance(c, (HComp, VComp, Times, Plus, CopairC)):
         ba = infer_boundary(c.a, sig)
         bb = infer_boundary(c.b, sig)
+    elif isinstance(c, (IterX, IterP)):
+        # IterX: alpha [V | A -> A | U], f [W | A -> B | K], g [W | I -> I | V.W]
+        # IterP: alpha [U | A -> A | V], f [K | A -> B | W], g [V.W | I -> I | W]
+        ba = infer_boundary(c.alpha, sig)
+        bf = infer_boundary(c.f, sig)
+        bg = infer_boundary(c.g, sig)
+        g_site = "peel cell" if isinstance(c, IterX) else "collapse cell"
+        _require_obj("loop body top/bottom", ba.top, ba.bottom)
+        _require_obj("stop cell top", bf.top, ba.top)
+        _require_obj(f"{g_site} top", bg.top, UNIT)
+        _require_obj(f"{g_site} bottom", bg.bottom, UNIT)
+    if isinstance(c, Promote):
+        dom, cod = infer_mor_type(c.mor, sig)
+        b = boundary(DONE, dom, cod, DONE)
+    elif isinstance(c, GetL):
+        b = boundary(SendP(c.obj), UNIT, c.obj, DONE)
+    elif isinstance(c, PutR):
+        b = boundary(DONE, c.obj, UNIT, SendP(c.obj))
+    elif isinstance(c, GetR):
+        b = boundary(DONE, UNIT, c.obj, RecvP(c.obj))
+    elif isinstance(c, PutL):
+        b = boundary(RecvP(c.obj), c.obj, UNIT, DONE)
+    elif isinstance(c, IdV):
+        b = boundary(DONE, c.obj, c.obj, DONE)
+    elif isinstance(c, IdH):
+        b = boundary(c.proto, UNIT, UNIT, c.proto)
+    elif isinstance(c, HComp):
         _require_proto("horizontal seam", ba.right, bb.left)
-        return boundary(
+        b = boundary(
             ba.left,
             tensor_obj(ba.top, bb.top),
             tensor_obj(ba.bottom, bb.bottom),
             bb.right,
         )
-    if isinstance(c, VComp):
-        ba = infer_boundary(c.a, sig)
-        bb = infer_boundary(c.b, sig)
+    elif isinstance(c, VComp):
         _require_obj("vertical seam", ba.bottom, bb.top)
-        return boundary(
+        b = boundary(
             seq_proto(ba.left, bb.left),
             ba.top,
             bb.bottom,
             seq_proto(ba.right, bb.right),
         )
-    if isinstance(c, Pi0):
-        return boundary(
-            ChooseP(normalize_proto(c.left), normalize_proto(c.right)),
-            UNIT,
-            UNIT,
-            c.left,
-        )
-    if isinstance(c, Pi1):
-        return boundary(
-            ChooseP(normalize_proto(c.left), normalize_proto(c.right)),
-            UNIT,
-            UNIT,
-            c.right,
-        )
-    if isinstance(c, Times):
-        ba = infer_boundary(c.a, sig)
-        bb = infer_boundary(c.b, sig)
+    elif isinstance(c, Pi0):
+        b = boundary(ChooseP(c.left, c.right), UNIT, UNIT, c.left)
+    elif isinstance(c, Pi1):
+        b = boundary(ChooseP(c.left, c.right), UNIT, UNIT, c.right)
+    elif isinstance(c, Times):
         _require_proto("times left sides", ba.left, bb.left)
         _require_obj("times tops", ba.top, bb.top)
         _require_obj("times bottoms", ba.bottom, bb.bottom)
-        return boundary(
-            ba.left, ba.top, ba.bottom, ChooseP(ba.right, bb.right)
-        )
-    if isinstance(c, Inj0):
-        return boundary(
-            c.left,
-            UNIT,
-            UNIT,
-            OfferP(normalize_proto(c.left), normalize_proto(c.right)),
-        )
-    if isinstance(c, Inj1):
-        return boundary(
-            c.right,
-            UNIT,
-            UNIT,
-            OfferP(normalize_proto(c.left), normalize_proto(c.right)),
-        )
-    if isinstance(c, Plus):
-        ba = infer_boundary(c.a, sig)
-        bb = infer_boundary(c.b, sig)
+        b = boundary(ba.left, ba.top, ba.bottom, ChooseP(ba.right, bb.right))
+    elif isinstance(c, Inj0):
+        b = boundary(c.left, UNIT, UNIT, OfferP(c.left, c.right))
+    elif isinstance(c, Inj1):
+        b = boundary(c.right, UNIT, UNIT, OfferP(c.left, c.right))
+    elif isinstance(c, Plus):
         _require_proto("plus right sides", ba.right, bb.right)
         _require_obj("plus tops", ba.top, bb.top)
         _require_obj("plus bottoms", ba.bottom, bb.bottom)
-        return boundary(OfferP(ba.left, bb.left), ba.top, ba.bottom, ba.right)
-    if isinstance(c, CopairC):
-        ba = infer_boundary(c.a, sig)
-        bb = infer_boundary(c.b, sig)
+        b = boundary(OfferP(ba.left, bb.left), ba.top, ba.bottom, ba.right)
+    elif isinstance(c, CopairC):
         _require_proto("copair left sides", ba.left, bb.left)
         _require_proto("copair right sides", ba.right, bb.right)
         _require_obj("copair bottoms", ba.bottom, bb.bottom)
-        return boundary(
-            ba.left, Sum(ba.top, bb.top), ba.bottom, ba.right
-        )
-    if isinstance(c, IterX):
-        return _infer_iter_x(c, sig)
-    if isinstance(c, IterP):
-        return _infer_iter_p(c, sig)
-    raise IllTypedSubterm(f"unknown cell form {c!r}")
-
-
-def _infer_iter_x(c, sig):
-    ba = infer_boundary(c.alpha, sig)
-    bf = infer_boundary(c.f, sig)
-    bg = infer_boundary(c.g, sig)
-    # alpha : [V | A -> A | U], f : [W | A -> B | K], g : [W | I -> I | V.W]
-    _require_obj("loop body top/bottom", ba.top, ba.bottom)
-    _require_obj("stop cell top", bf.top, ba.top)
-    _require_obj("peel cell top", bg.top, UNIT)
-    _require_obj("peel cell bottom", bg.bottom, UNIT)
-    _require_proto("peel cell left", bf.left, bg.left)
-    _require_proto("peel cell right", seq_proto(ba.left, bg.left), bg.right)
-    return boundary(
-        bf.left,
-        ba.top,
-        bf.bottom,
-        seq_proto(StarXP(normalize_proto(ba.right)), bf.right),
-    )
-
-
-def _infer_iter_p(c, sig):
-    ba = infer_boundary(c.alpha, sig)
-    bf = infer_boundary(c.f, sig)
-    bg = infer_boundary(c.g, sig)
-    # alpha : [U | A -> A | V], f : [K | A -> B | W], g : [V.W | I -> I | W]
-    _require_obj("loop body top/bottom", ba.top, ba.bottom)
-    _require_obj("stop cell top", bf.top, ba.top)
-    _require_obj("collapse cell top", bg.top, UNIT)
-    _require_obj("collapse cell bottom", bg.bottom, UNIT)
-    _require_proto("collapse cell right", bf.right, bg.right)
-    _require_proto(
-        "collapse cell left", seq_proto(ba.right, bg.right), bg.left
-    )
-    return boundary(
-        seq_proto(StarPP(normalize_proto(ba.left)), bf.left),
-        ba.top,
-        bf.bottom,
-        bf.right,
-    )
+        b = boundary(ba.left, Sum(ba.top, bb.top), ba.bottom, ba.right)
+    elif isinstance(c, IterX):
+        _require_proto("peel cell left", bf.left, bg.left)
+        _require_proto("peel cell right", seq_proto(ba.left, bg.left), bg.right)
+        right = seq_proto(StarXP(ba.right), bf.right)
+        b = boundary(bf.left, ba.top, bf.bottom, right)
+    elif isinstance(c, IterP):
+        _require_proto("collapse cell right", bf.right, bg.right)
+        _require_proto("collapse cell left", seq_proto(ba.right, bg.right), bg.left)
+        left = seq_proto(StarPP(ba.left), bf.left)
+        b = boundary(left, ba.top, bf.bottom, bf.right)
+    else:
+        raise IllTypedSubterm(f"unknown cell form {c!r}")
+    object.__setattr__(c, "_boundary", (sig, b))
+    return b

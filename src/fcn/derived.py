@@ -128,20 +128,22 @@ def tensor_cells(a: Cell, b: Cell, sig: sg.Signature) -> Cell:
 
 
 def _x_unroll(u: Protocol):
+    """u normalized, and the stop and step sides of u^x's unrolling."""
     u = normalize_proto(u)
-    return (DONE, seq_proto(u, StarXP(u)))
+    return u, DONE, seq_proto(u, StarXP(u))
 
 
 def _p_unroll(u: Protocol):
+    """u normalized, and the stop and step sides of u^p's unrolling."""
     u = normalize_proto(u)
-    return (DONE, seq_proto(u, StarPP(u)))
+    return u, DONE, seq_proto(u, StarPP(u))
 
 
 def simple_iter_x(a: Cell, sig: sg.Signature | None = None) -> Cell:
     """Lift [u | A -> A | w] to [u^x | A -> A | w^x]: replay a once per
     round demanded by the right participant."""
     ba = infer_boundary(a, sig or sg.Signature())
-    stop, step = _x_unroll(ba.left)
+    _, stop, step = _x_unroll(ba.left)
     return IterX(a, HComp(Pi0(stop, step), IdV(ba.top)), Pi1(stop, step))
 
 
@@ -149,7 +151,7 @@ def simple_iter_p(a: Cell, sig: sg.Signature | None = None) -> Cell:
     """Lift [u | A -> A | w] to [u^p | A -> A | w^p]: replay a once per
     layer supplied by the left participant."""
     ba = infer_boundary(a, sig or sg.Signature())
-    stop, step = _p_unroll(ba.right)
+    _, stop, step = _p_unroll(ba.right)
     return IterP(a, HComp(IdV(ba.top), Inj0(stop, step)), Inj1(stop, step))
 
 
@@ -159,56 +161,50 @@ def simple_iter_p(a: Cell, sig: sg.Signature | None = None) -> Cell:
 
 def dup_x(u: Protocol) -> Cell:
     """[u^x | I -> I | u^x . u^x]: serve one loop to two consumers in turn."""
-    stop, step = _x_unroll(u)
-    return IterX(IdH(normalize_proto(u)), IdH(StarXP(normalize_proto(u))), Pi1(stop, step))
+    u, stop, step = _x_unroll(u)
+    return IterX(IdH(u), IdH(StarXP(u)), Pi1(stop, step))
 
 
 def counit_x(u: Protocol) -> Cell:
     """[u^x | I -> I | done]: stop the loop immediately."""
-    stop, step = _x_unroll(u)
+    _, stop, step = _x_unroll(u)
     return Pi0(stop, step)
 
 
 def merge_p(u: Protocol) -> Cell:
     """[u^p . u^p | I -> I | u^p]: run two finite loops back to back."""
-    stop, step = _p_unroll(u)
-    return IterP(IdH(normalize_proto(u)), IdH(StarPP(normalize_proto(u))), Inj1(stop, step))
+    u, stop, step = _p_unroll(u)
+    return IterP(IdH(u), IdH(StarPP(u)), Inj1(stop, step))
 
 
 def unit_p(u: Protocol) -> Cell:
     """[done | I -> I | u^p]: the empty loop."""
-    stop, step = _p_unroll(u)
+    _, stop, step = _p_unroll(u)
     return Inj0(stop, step)
 
 
 def extract_x(u: Protocol) -> Cell:
     """[u^x | I -> I | u]: demand exactly one round."""
-    stop, step = _x_unroll(u)
-    return HComp(
-        Pi1(stop, step),
-        VComp(IdH(normalize_proto(u)), Pi0(stop, step)),
-    )
+    u, stop, step = _x_unroll(u)
+    return HComp(Pi1(stop, step), VComp(IdH(u), Pi0(stop, step)))
 
 
 def duplicate_x(u: Protocol) -> Cell:
     """[u^x | I -> I | (u^x)^x]: serve a loop of whole loops."""
-    un = normalize_proto(u)
-    return IterX(IdH(StarXP(un)), counit_x(u), dup_x(u))
+    u = normalize_proto(u)
+    return IterX(IdH(StarXP(u)), counit_x(u), dup_x(u))
 
 
 def insert_p(u: Protocol) -> Cell:
     """[u | I -> I | u^p]: the one-round loop."""
-    stop, step = _p_unroll(u)
-    return HComp(
-        VComp(IdH(normalize_proto(u)), Inj0(stop, step)),
-        Inj1(stop, step),
-    )
+    u, stop, step = _p_unroll(u)
+    return HComp(VComp(IdH(u), Inj0(stop, step)), Inj1(stop, step))
 
 
 def flatten_p(u: Protocol) -> Cell:
     """[(u^p)^p | I -> I | u^p]: concatenate a finite loop of finite loops."""
-    un = normalize_proto(u)
-    return IterP(IdH(StarPP(un)), unit_p(u), merge_p(u))
+    u = normalize_proto(u)
+    return IterP(IdH(StarPP(u)), unit_p(u), merge_p(u))
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +270,7 @@ def pair_to_recv(a: sg.ObjExpr, b: sg.ObjExpr) -> Cell:
 def word_sender(word, a: sg.ObjExpr) -> Cell:
     """[done | I -> I | (!a)^p]: send the listed values then stop."""
     an = sg.normalize_obj(a)
-    stop, step = _p_unroll(SendP(an))
+    _, stop, step = _p_unroll(SendP(an))
     if not word:
         return Inj0(stop, step)
     head, rest = word[0], word[1:]
@@ -282,7 +278,7 @@ def word_sender(word, a: sg.ObjExpr) -> Cell:
         vchain(
             Promote(sg.ConstMor(an, head)),
             PutR(an),
-            word_sender(rest, a),
+            word_sender(rest, an),
         ),
         Inj1(stop, step),
     )

@@ -245,7 +245,7 @@ def gen_cell(rng: random.Random, sig: Signature, size=3) -> Cell:
     c = _rand_base_cell(rng, sig)
     for _ in range(size):
         b = infer_boundary(c, sig)
-        right = normalize_proto(b.right)
+        right = b.right
         moves = ["below", "times", "plus", "copair", "inj"]
         if isinstance(right, ChooseP):
             moves.append("pi")

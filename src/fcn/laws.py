@@ -623,7 +623,7 @@ def _law_crossing_strength(ctx, law):
 def _iterx_beta_pairs(ctx, m: IterX):
     ba = infer_boundary(m.alpha, ctx.sig)
     bf = infer_boundary(m.f, ctx.sig)
-    stop, step = dv._x_unroll(ba.right)
+    _, stop, step = dv._x_unroll(ba.right)
     k = bf.right
     return [
         (HComp(m, VComp(Pi0(stop, step), IdH(k))), m.f),
@@ -637,7 +637,7 @@ def _iterx_beta_pairs(ctx, m: IterX):
 def _iterp_beta_pairs(ctx, m: IterP):
     ba = infer_boundary(m.alpha, ctx.sig)
     bf = infer_boundary(m.f, ctx.sig)
-    stop, step = dv._p_unroll(ba.left)
+    _, stop, step = dv._p_unroll(ba.left)
     k = bf.left
     return [
         (HComp(VComp(Inj0(stop, step), IdH(k)), m), m.f),
@@ -678,7 +678,7 @@ def _law_loop_p_beta(ctx, law):
 def _law_loop_x_mediate(ctx, law):
     pairs = []
     for u in _small_protos(ctx):
-        stop, step = dv._x_unroll(u)
+        _, stop, step = dv._x_unroll(u)
         for h in (
             IdH(StarXP(u)),
             Times(Pi0(stop, step), Pi1(stop, step)),

@@ -30,7 +30,13 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-from .errors import BoundaryMismatch, NotEnumerable, ParseError, UnknownName
+from .errors import (
+    BoundaryMismatch,
+    FcnError,
+    NotEnumerable,
+    ParseError,
+    UnknownName,
+)
 from .protocol import (
     ChooseP,
     DONE,
@@ -41,7 +47,7 @@ from .protocol import (
     SeqP,
     StarPP,
     StarXP,
-    proto_equal,
+    proto_factors,
     seq_proto,
 )
 from . import signature as sg
@@ -66,6 +72,7 @@ from .cells import (
     PutR,
     Times,
     VComp,
+    boundaries_equal,
     infer_boundary,
 )
 from . import derived as dv
@@ -240,12 +247,15 @@ class _Parser:
         elif t.text == "carrier":
             self.carrier_decl()
         elif t.text == "mor":
-            name = s.ident("a morphism name").text
+            name = s.ident("a morphism name")
             s.expect(":")
             dom = self.obj()
             s.expect("->")
             cod = self.obj()
-            self.doc.sig.declare_morphism(name, dom, cod)
+            try:
+                self.doc.sig.declare_morphism(name.text, dom, cod)
+            except FcnError as e:
+                raise ParseError(str(e), line=name.line, column=name.col) from None
         elif t.text == "map":
             name = s.ident("a morphism name").text
             s.expect("=")
@@ -301,7 +311,7 @@ class _Parser:
                 raise ParseError("expected 'of'", line=of.line, column=of.col)
             elem = self.obj_atom()
             self.doc.sig.objects.discard(name)
-            self.doc.aliases[name] = sg.Stack(sg.normalize_obj(elem))
+            self.doc.aliases[name] = sg.Stack(elem)
 
     def cell_decl(self):
         s = self.s
@@ -316,18 +326,11 @@ class _Parser:
         s.expect("|")
         right = self.proto()
         s.expect("]")
-        declared = Boundary(
-            left, sg.normalize_obj(top), sg.normalize_obj(bottom), right
-        )
+        declared = Boundary(left, top, bottom, right)
         s.expect("=")
         term = self.cell()
         inferred = infer_boundary(term, self.doc.sig)
-        if not (
-            proto_equal(declared.left, inferred.left)
-            and declared.top == inferred.top
-            and declared.bottom == inferred.bottom
-            and proto_equal(declared.right, inferred.right)
-        ):
+        if not boundaries_equal(declared, inferred):
             raise BoundaryMismatch(
                 f"cell {name}", str(declared), str(inferred)
             )
@@ -337,11 +340,12 @@ class _Parser:
     # -- objects ------------------------------------------------------------
 
     def obj(self) -> sg.ObjExpr:
+        """An object expression.  The object parsers return normal objects:
+        tensors come from `tensor_obj` and every other node has normal
+        children, so nothing that reads them normalizes them again."""
         left = self.obj_tensor()
         if self.s.eat("(+)"):
-            return sg.Sum(
-                sg.normalize_obj(left), sg.normalize_obj(self.obj())
-            )
+            return sg.Sum(left, self.obj())
         return left
 
     def obj_tensor(self) -> sg.ObjExpr:
@@ -360,7 +364,7 @@ class _Parser:
         if t.text == "I":
             return sg.UNIT
         if t.text == "stack":
-            return sg.Stack(sg.normalize_obj(self.obj_atom()))
+            return sg.Stack(self.obj_atom())
         if t.text in self.doc.aliases:
             return self.doc.aliases[t.text]
         if t.text not in self.doc.sig.objects:
@@ -435,9 +439,9 @@ class _Parser:
         if t.text == "I":
             return DONE
         if t.text == "send":
-            return SendP(sg.normalize_obj(self.obj_atom()))
+            return SendP(self.obj_atom())
         if t.text == "recv":
-            return RecvP(sg.normalize_obj(self.obj_atom()))
+            return RecvP(self.obj_atom())
         if t.text in self.doc.protocols:
             return self.doc.protocols[t.text]
         raise UnknownName(f"unknown protocol {t.text!r}", line=t.line, column=t.col)
@@ -456,27 +460,15 @@ class _Parser:
             left = sg.TensorM(left, self.mor_atom())
         return left
 
-    def _obj_pair(self):
+    def _obj_args(self, n):
+        """n comma-separated objects in parentheses."""
         self.s.expect("(")
-        a = self.obj()
-        self.s.expect(",")
-        b = self.obj()
+        out = [self.obj()]
+        for _ in range(n - 1):
+            self.s.expect(",")
+            out.append(self.obj())
         self.s.expect(")")
-        return sg.normalize_obj(a), sg.normalize_obj(b)
-
-    def _obj_triple(self):
-        self.s.expect("(")
-        a = self.obj()
-        self.s.expect(",")
-        b = self.obj()
-        self.s.expect(",")
-        c = self.obj()
-        self.s.expect(")")
-        return (
-            sg.normalize_obj(a),
-            sg.normalize_obj(b),
-            sg.normalize_obj(c),
-        )
+        return out
 
     def mor_atom(self) -> sg.MorExpr:
         s = self.s
@@ -487,13 +479,13 @@ class _Parser:
         t = s.ident("a morphism")
         word = t.text
         if word == "id":
-            return sg.Id(sg.normalize_obj(self.obj_atom()))
+            return sg.Id(self.obj_atom())
         if word == "braid":
-            return sg.Braid(*self._obj_pair())
+            return sg.Braid(*self._obj_args(2))
         if word == "inj0":
-            return sg.Inj0(*self._obj_pair())
+            return sg.Inj0(*self._obj_args(2))
         if word == "inj1":
-            return sg.Inj1(*self._obj_pair())
+            return sg.Inj1(*self._obj_args(2))
         if word == "copair":
             s.expect("(")
             f = self.mor()
@@ -502,22 +494,22 @@ class _Parser:
             s.expect(")")
             return sg.Copair(f, g)
         if word == "distR":
-            return sg.DistR(*self._obj_triple())
+            return sg.DistR(*self._obj_args(3))
         if word == "undistR":
-            return sg.UndistR(*self._obj_triple())
+            return sg.UndistR(*self._obj_args(3))
         if word == "distL":
-            return sg.DistL(*self._obj_triple())
+            return sg.DistL(*self._obj_args(3))
         if word == "undistL":
-            return sg.UndistL(*self._obj_triple())
+            return sg.UndistL(*self._obj_args(3))
         if word == "nil":
-            return sg.Nil(sg.normalize_obj(self.obj_atom()))
+            return sg.Nil(self.obj_atom())
         if word == "push":
-            return sg.Push(sg.normalize_obj(self.obj_atom()))
+            return sg.Push(self.obj_atom())
         if word == "pop":
-            return sg.Pop(sg.normalize_obj(self.obj_atom()))
+            return sg.Pop(self.obj_atom())
         if word == "const":
             s.expect("(")
-            obj = sg.normalize_obj(self.obj())
+            obj = self.obj()
             s.expect(",")
             v = self.value()
             s.expect(")")
@@ -585,15 +577,15 @@ class _Parser:
         t = s.ident("a cell term")
         word = t.text
         if word == "getL":
-            return GetL(sg.normalize_obj(self.obj_atom()))
+            return GetL(self.obj_atom())
         if word == "putR":
-            return PutR(sg.normalize_obj(self.obj_atom()))
+            return PutR(self.obj_atom())
         if word == "getR":
-            return GetR(sg.normalize_obj(self.obj_atom()))
+            return GetR(self.obj_atom())
         if word == "putL":
-            return PutL(sg.normalize_obj(self.obj_atom()))
+            return PutL(self.obj_atom())
         if word == "1":
-            return IdV(sg.normalize_obj(self.obj_atom()))
+            return IdV(self.obj_atom())
         if word == "id":
             return IdH(self.proto_atom())
         if word == "pi0":
@@ -620,7 +612,7 @@ class _Parser:
             s.expect(",")
             a = self.obj()
             s.expect("}")
-            return dv.crossing(u, sg.normalize_obj(a))
+            return dv.crossing(u, a)
         if word == "tensor":
             return dv.tensor_cells(*self._term_pair(), self.doc.sig)
         if word == "iterXs":
@@ -647,7 +639,7 @@ class _Parser:
             return dv.flatten_p(self._proto_arg())
         if word == "sendword":
             s.expect("{")
-            a = sg.normalize_obj(self.obj())
+            a = self.obj()
             s.expect("}")
             s.expect("[")
             values = []
@@ -692,7 +684,7 @@ def _obj_atom(e: sg.ObjExpr) -> str:
 
 
 def _proto_atom(p: Protocol) -> str:
-    if proto_equal(p, DONE):
+    if not proto_factors(p):
         return "I"
     return f"({show_proto(p)})"
 

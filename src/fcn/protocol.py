@@ -18,13 +18,20 @@ over a branch: `(U & W) . V` is not `(U . V) & (W . V)`, and likewise for
 boundaries are compared with `proto_equal`, so identifying them would
 change which terms typecheck: a cell ending in `(U & W) . V` would meet a
 projection `Pi0(U . V, W . V)` that today it does not.
+
+Normal form is decided here and, for objects, in `signature.normalize_obj`,
+and nowhere else.  A protocol is normal when its sequences are flat and
+free of `done`, every one-step loop unrolling is folded back into its
+loop, and its objects are normal.  `normalize_proto` returns normal input
+itself, not a copy, so callers holding a normal protocol never normalize
+it again, and a boundary part or a parsed term stays the object it was.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .signature import ObjExpr, normalize_obj, _obj_atom_str
+from .signature import ObjExpr, normalize_obj, _obj_atom_str, _same_items
 
 
 @dataclass(frozen=True)
@@ -106,19 +113,33 @@ def _proto_atom_str(p):
 
 
 def normalize_proto(p: Protocol) -> Protocol:
-    """Flatten sequences and drop done factors. Idempotent."""
+    """Flatten sequences, drop done factors and fold one-step loop
+    unrollings, bottom-up.  A node whose normalized children are its own
+    children is returned itself, so normalizing normal input returns that
+    input, and a sequence node built here carries its factor list."""
     parts = proto_factors(p)
+    if isinstance(p, DoneP):
+        return p
+    if isinstance(p, SeqP) and len(parts) > 1 and _same_items(p.parts, parts):
+        return p
+    return _seq(parts)
+
+
+def _seq(parts: tuple) -> Protocol:
+    """The normal protocol with the given flat, normal factor list."""
     if not parts:
         return DONE
     if len(parts) == 1:
         return parts[0]
-    return SeqP(tuple(parts))
+    out = SeqP(parts)
+    object.__setattr__(out, "_factors", parts)
+    return out
 
 
 def proto_factors(p: Protocol) -> tuple:
-    """Flat sequential factor list; branch and loop nodes count as atoms.
-    Stored on the node on first use, outside the dataclass fields, so
-    equality, hashing and printing ignore it."""
+    """Flat sequential factor list of normal atoms; branch and loop nodes
+    count as atoms.  Stored on the node on first use, outside the dataclass
+    fields, so equality, hashing and printing ignore it."""
     out = getattr(p, "_factors", None)
     if out is None:
         out = _proto_factors(p)
@@ -134,22 +155,19 @@ def _proto_factors(p: Protocol) -> tuple:
         for part in p.parts:
             out.extend(proto_factors(part))
         return tuple(out)
-    if isinstance(p, SendP):
-        return (SendP(normalize_obj(p.obj)),)
-    if isinstance(p, RecvP):
-        return (RecvP(normalize_obj(p.obj)),)
-    if isinstance(p, ChooseP):
+    if isinstance(p, (SendP, RecvP)):
+        obj = normalize_obj(p.obj)
+        return (p if obj is p.obj else type(p)(obj),)
+    if isinstance(p, (ChooseP, OfferP)):
         left, right = normalize_proto(p.left), normalize_proto(p.right)
-        folded = _fold_unroll(left, right, StarXP)
-        return (folded if folded is not None else ChooseP(left, right),)
-    if isinstance(p, OfferP):
-        left, right = normalize_proto(p.left), normalize_proto(p.right)
-        folded = _fold_unroll(left, right, StarPP)
-        return (folded if folded is not None else OfferP(left, right),)
-    if isinstance(p, StarXP):
-        return (StarXP(normalize_proto(p.body)),)
-    if isinstance(p, StarPP):
-        return (StarPP(normalize_proto(p.body)),)
+        folded = _fold_unroll(left, right, StarXP if isinstance(p, ChooseP) else StarPP)
+        if folded is not None:
+            return (folded,)
+        same = left is p.left and right is p.right
+        return (p if same else type(p)(left, right),)
+    if isinstance(p, (StarXP, StarPP)):
+        body = normalize_proto(p.body)
+        return (p if body is p.body else type(p)(body),)
     raise TypeError(f"unknown protocol form {p!r}")
 
 
@@ -161,7 +179,7 @@ def _fold_unroll(left, right, star):
     parts = proto_factors(right)
     if len(parts) < 2 or not isinstance(parts[-1], star):
         return None
-    if normalize_proto(SeqP(parts[:-1])) == parts[-1].body:
+    if _seq(parts[:-1]) == parts[-1].body:
         return parts[-1]
     return None
 

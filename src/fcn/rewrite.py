@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .protocol import DONE, RecvP, SendP, proto_equal
+from .protocol import RecvP, SendP, proto_factors
 from . import signature as sg
 from .cells import (
     Cell,
@@ -50,10 +50,10 @@ class RewriteReport:
 
 
 def _is_unit_cell(c):
-    if isinstance(c, IdH) and proto_equal(c.proto, DONE):
-        return True
-    if isinstance(c, IdV) and sg.normalize_obj(c.obj) == sg.UNIT:
-        return True
+    if isinstance(c, IdH):
+        return not proto_factors(c.proto)
+    if isinstance(c, IdV):
+        return not sg.obj_factors(c.obj)
     return False
 
 
@@ -63,13 +63,13 @@ def _match_stop_arm(cell, which):
     A loop projection or injection always branches between done and one
     more round, so the first protocol argument must be done."""
     if isinstance(cell, which):
-        return proto_equal(cell.left, DONE)
+        return not proto_factors(cell.left)
     if (
         isinstance(cell, VComp)
         and isinstance(cell.a, which)
         and isinstance(cell.b, IdH)
     ):
-        return proto_equal(cell.a.left, DONE)
+        return not proto_factors(cell.a.left)
     return False
 
 

@@ -227,14 +227,6 @@ class Interp:
     def __init__(self, sig: Signature, val: Valuation):
         self.sig = sig
         self.val = val
-        self._bcache = {}
-
-    def boundary(self, c: Cell):
-        b = self._bcache.get(c)
-        if b is None:
-            b = infer_boundary(c, self.sig)
-            self._bcache[c] = b
-        return b
 
     def apply(self, c: Cell, pv, a: Value, k=None):
         """Run cell c on a left environment pv and a top input a.
@@ -269,7 +261,7 @@ class Interp:
             return _map_unit(pv, c.proto, k)
         if isinstance(c, HComp):
             parts = value_factors(a)
-            n1 = len(obj_factors(self.boundary(c.a).top))
+            n1 = len(obj_factors(infer_boundary(c.a, self.sig).top))
             mid = self.apply(c.a, pv, tensor_value(*parts[:n1]))
             # leaves of c.b are ((x, b), d); fuse the two bottom outputs
             return self.apply(
@@ -321,7 +313,7 @@ class Interp:
 
             return make_handle((pv, a))
         if isinstance(c, IterP):
-            body_right = proto_factors(self.boundary(c.alpha).right)
+            body_right = proto_factors(infer_boundary(c.alpha, self.sig).right)
 
             def fold(state, inp):
                 state = expect(state, TAGGED)

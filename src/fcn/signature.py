@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 from .errors import (
     CompositionMismatch,
+    FcnError,
     IllTypedValue,
     NotEnumerable,
     UnknownName,
@@ -76,19 +77,34 @@ def _obj_atom_str(e):
 
 
 def normalize_obj(e: ObjExpr) -> ObjExpr:
-    """Flatten tensors, drop units, normalize recursively. Idempotent."""
+    """Flatten tensors and drop units, bottom-up.  A node whose normalized
+    children are its own children is returned itself, so normalizing
+    normal input returns that input, and a tensor node built here carries
+    its factor list.  This module and `protocol` alone decide normal form;
+    everything else relies on their results being normal."""
     factors = obj_factors(e)
+    if isinstance(e, Unit):
+        return e
+    if isinstance(e, Tensor) and len(factors) > 1 and _same_items(e.factors, factors):
+        return e
     if not factors:
         return UNIT
     if len(factors) == 1:
         return factors[0]
-    return Tensor(tuple(factors))
+    out = Tensor(factors)
+    object.__setattr__(out, "_factors", factors)
+    return out
+
+
+def _same_items(xs: tuple, ys: tuple) -> bool:
+    """Whether two tuples hold the same objects, position by position."""
+    return len(xs) == len(ys) and all(x is y for x, y in zip(xs, ys))
 
 
 def obj_factors(e: ObjExpr) -> tuple:
-    """The flat tensor factor list of e; Sum and Stack nodes count as atoms.
-    Stored on the node on first use, outside the dataclass fields, so
-    equality, hashing and printing ignore it."""
+    """The flat tensor factor list of e, each factor normal; Sum and Stack
+    nodes count as atoms.  Stored on the node on first use, outside the
+    dataclass fields, so equality, hashing and printing ignore it."""
     out = getattr(e, "_factors", None)
     if out is None:
         out = _obj_factors(e)
@@ -105,9 +121,11 @@ def _obj_factors(e: ObjExpr) -> tuple:
             out.extend(obj_factors(f))
         return tuple(out)
     if isinstance(e, Sum):
-        return (Sum(normalize_obj(e.left), normalize_obj(e.right)),)
+        left, right = normalize_obj(e.left), normalize_obj(e.right)
+        return (e if left is e.left and right is e.right else Sum(left, right),)
     if isinstance(e, Stack):
-        return (Stack(normalize_obj(e.elem)),)
+        elem = normalize_obj(e.elem)
+        return (e if elem is e.elem else Stack(elem),)
     return (e,)
 
 
@@ -393,7 +411,16 @@ class Signature:
         self.objects.add(name)
 
     def declare_morphism(self, name, dom, cod):
-        self.morphisms[name] = (normalize_obj(dom), normalize_obj(cod))
+        """Declare name : dom -> cod.  A name keeps its first type: cells
+        store the boundary they were typed with, so a later declaration of
+        another type would leave them typed against a stale signature."""
+        typ = (normalize_obj(dom), normalize_obj(cod))
+        old = self.morphisms.setdefault(name, typ)
+        if old != typ:
+            raise FcnError(
+                f"morphism {name} declared again: {old[0]} -> {old[1]}, "
+                f"now {typ[0]} -> {typ[1]}"
+            )
 
 
 @dataclass

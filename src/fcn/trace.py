@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import IllTypedValue, ScriptOverrun, ScriptUnderrun, WrongMove
+from .cells import infer_boundary
 from .protocol import ChooseP, OfferP, RecvP, SendP, StarPP, StarXP, proto_factors
 from .semantics import TAGGED, Interp, PInr, PPair, PSend, PTable, branches, expect
 from .signature import Value, check_value
@@ -62,7 +63,7 @@ def run_trace(interp: Interp, cell, top_value: Value, moves) -> list:
     done, top_value must fit the cell's top boundary, and the walk must
     consume the script exactly.
     """
-    b = interp.boundary(cell)
+    b = infer_boundary(cell, interp.sig)
     if proto_factors(b.left):
         raise IllTypedValue(
             f"cell is open on the left ({b.left}); traces need a closed left side"

@@ -117,3 +117,26 @@ def test_iter_boundaries(bakery):
     assert b.left == StarPP(g._CUST_PROTO)
     assert b.top == b.bottom == sg.tensor_obj(g.S_BREAD, g.S_COIN)
     assert b.right == DONE
+
+
+def test_boundary_is_stored_per_signature():
+    sig1, sig2 = sg.Signature(), sg.Signature()
+    sig1.declare_morphism("f", A, B)
+    sig2.declare_morphism("f", B, A)
+    f = Promote(sg.GenMor("f"))
+    c = HComp(f, IdV(A))
+    b1 = infer_boundary(c, sig1)
+    assert infer_boundary(c, sig1) is b1
+    assert infer_boundary(f, sig1).top == A
+    # a second signature gives the same-named morphism another type
+    b2 = infer_boundary(c, sig2)
+    assert (b2.top, b2.bottom) == (sg.tensor_obj(B, A), sg.tensor_obj(A, A))
+    assert infer_boundary(f, sig2).top == B
+    assert infer_boundary(c, sig1) == b1
+    # a failed inference stores nothing: it fails again under that signature
+    d = VComp(f, PutR(B))
+    infer_boundary(d, sig1)
+    for _ in range(2):
+        with pytest.raises(BoundaryMismatch):
+            infer_boundary(d, sig2)
+    assert infer_boundary(d, sig1).top == A

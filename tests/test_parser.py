@@ -107,6 +107,16 @@ def test_unknown_names_have_positions():
     assert (e.value.line, e.value.column) == (8, 16)
 
 
+def test_morphism_redeclared_with_another_type():
+    # the same type again is allowed
+    d = doc("cell k : [ I | a -> b | I ] = [f];\nmor f : a -> b;")
+    assert d.sig.morphisms["f"] == (sg.GenObj("a"), sg.GenObj("b"))
+    with pytest.raises(ParseError) as e:
+        doc("cell k : [ I | a -> b | I ] = [f];\nmor f : b -> a;")
+    assert (e.value.line, e.value.column) == (9, 5)
+    assert "morphism f declared again" in str(e.value)
+
+
 def test_parse_error_position():
     with pytest.raises(ParseError) as e:
         parse_document("object ;")

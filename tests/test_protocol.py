@@ -48,8 +48,11 @@ protos = st.recursive(
 
 @given(protos)
 def test_normalize_idempotent(p):
+    # normal input comes back as the same object, not a rebuilt copy
     n = normalize_proto(p)
-    assert normalize_proto(n) == n
+    assert normalize_proto(n) is n
+    for f in proto_factors(n):
+        assert normalize_proto(f) is f
 
 
 @given(protos)

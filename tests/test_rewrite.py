@@ -3,12 +3,18 @@ import random
 import goldens as g
 from fcn import signature as sg
 from fcn.cells import (
+    CopairC,
     GetL,
     GetR,
     HComp,
     IdH,
     IdV,
+    Inj0,
+    Inj1,
+    IterP,
+    Pi0,
     Pi1,
+    Plus,
     Promote,
     PutL,
     PutR,
@@ -18,7 +24,7 @@ from fcn.cells import (
 )
 from fcn.gen import gen_cell
 from fcn.laws import cells_equal
-from fcn.protocol import SendP
+from fcn.protocol import DONE, RecvP, SendP, StarPP, StarXP, seq_proto
 from fcn.rewrite import rewrite, rewrite_step
 
 A = g.DOUGH
@@ -57,10 +63,57 @@ def test_promote_id_collapses():
     assert r.result == IdV(A)
 
 
+# Each beta rule below meets two different arms, so a rule that picks the
+# wrong arm, or a loop rule that stops where it should step, gives another
+# result.  Every arm is in normal form: the rule's step is the only step.
+
+SWAP = Promote(g.SWAP_DOUGH)
+
+
+def only_step(t, rule):
+    new, name, path = rewrite_step(t)
+    assert (name, path) == (rule, ())
+    assert rewrite_step(new) is None
+    return new
+
+
 def test_choose_beta():
-    t = Times(PutR(A), PutR(A))
-    r = rewrite(HComp(t, Pi1(SendP(A), SendP(A))))
-    assert r.result == PutR(A)
+    t = Times(PutR(A), VComp(SWAP, PutR(A)))
+    assert only_step(HComp(t, Pi0(SendP(A), SendP(A))), "choose-beta-0") == PutR(A)
+    picked = only_step(HComp(t, Pi1(SendP(A), SendP(A))), "choose-beta-1")
+    assert picked == VComp(SWAP, PutR(A))
+
+
+def test_offer_beta():
+    p = Plus(GetL(A), VComp(GetL(A), SWAP))
+    inj = (SendP(A), SendP(A))
+    assert only_step(HComp(Inj0(*inj), p), "offer-beta-0") == GetL(A)
+    assert only_step(HComp(Inj1(*inj), p), "offer-beta-1") == VComp(GetL(A), SWAP)
+
+
+def test_branch_beta():
+    c = CopairC(SWAP, IdV(A))
+    assert only_step(VComp(Promote(sg.Inj0(A, A)), c), "branch-beta-0") == SWAP
+    assert only_step(VComp(Promote(sg.Inj1(A, A)), c), "branch-beta-1") == IdV(A)
+
+
+def test_loop_x_stop_and_step():
+    # the memory cell iterX(putR a / getR a; 1 a; id I) against a projection
+    u = seq_proto(SendP(A), RecvP(A))
+    step = seq_proto(u, StarXP(u))
+    m = g.memory
+    assert only_step(HComp(m, Pi0(DONE, step)), "loop-x-stop") == m.f
+    new, name, _ = rewrite_step(HComp(m, Pi1(DONE, step)))
+    assert (name, new) == ("loop-x-step", HComp(m.g, VComp(m.alpha, m)))
+
+
+def test_loop_p_step():
+    # [(!a)^p | I -> I | (!a)^p]: relay each sent dough, swapped
+    step = seq_proto(SendP(A), StarPP(SendP(A)))
+    body = VComp(VComp(GetL(A), SWAP), PutR(A))
+    loop = IterP(body, Inj0(DONE, step), Inj1(DONE, step))
+    new, name, _ = rewrite_step(HComp(Inj1(DONE, step), loop))
+    assert (name, new) == ("loop-p-step", HComp(VComp(body, loop), loop.g))
 
 
 def test_bakery_fuses_to_promote():

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import pathlib
 import random
@@ -5,9 +6,11 @@ import random
 import pytest
 
 import goldens as g
+from fcn import cells
 from fcn import derived as dv
 from fcn import signature as sg
 from fcn.cells import (
+    Cell,
     CopairC,
     GetL,
     GetR,
@@ -18,6 +21,7 @@ from fcn.cells import (
     PutR,
     Times,
     VComp,
+    boundary,
     infer_boundary,
 )
 from fcn.errors import IllTypedValue, InfiniteRecvCarrier
@@ -35,6 +39,7 @@ from fcn.protocol import (
 )
 from fcn.semantics import (
     Interp,
+    PInr,
     PPair,
     PSend,
     PTable,
@@ -330,3 +335,27 @@ def test_times_evaluates_both_branches(interp):
     # nobody has picked a branch yet
     with pytest.raises(IllTypedValue):
         interp.apply(Times(IdV(A), CopairC(IdV(A), IdV(A))), None, RYE)
+
+
+def _cell_nodes(c):
+    kids = [getattr(c, f.name) for f in dataclasses.fields(c)]
+    return 1 + sum(_cell_nodes(k) for k in kids if isinstance(k, Cell))
+
+
+def test_inference_work_is_bounded_by_term_size(monkeypatch):
+    # apply asks for a subterm's boundary at every horizontal composite of
+    # the sender; each node's boundary is still built only once
+    sig = sg.Signature()
+    sig.declare_object("dough")
+    val = sg.Valuation(carriers={"dough": ("ryedough",)})
+    cell = dv.word_sender([RYE] * 160, A)
+    built = []
+
+    def counting(*sides):
+        built.append(sides)
+        return boundary(*sides)
+
+    monkeypatch.setattr(cells, "boundary", counting)
+    pv = Interp(sig, val).apply(cell, None, sg.UNITV)
+    assert isinstance(pv, PInr)
+    assert 0 < len(built) <= _cell_nodes(cell)

@@ -1,7 +1,7 @@
 from hypothesis import given, strategies as st
 
 from fcn import signature as sg
-from fcn.errors import CompositionMismatch
+from fcn.errors import CompositionMismatch, FcnError
 import pytest
 
 A = sg.GenObj("a")
@@ -37,8 +37,11 @@ objs = st.recursive(
 
 @given(objs)
 def test_normalize_obj_idempotent(e):
+    # normal input comes back as the same object, not a rebuilt copy
     n = sg.normalize_obj(e)
-    assert sg.normalize_obj(n) == n
+    assert sg.normalize_obj(n) is n
+    for f in sg.obj_factors(n):
+        assert sg.normalize_obj(f) is f
 
 
 @given(objs)
@@ -136,6 +139,15 @@ def test_infer_mor_type_mismatch():
     sig.declare_morphism("f", A, B)
     with pytest.raises(CompositionMismatch):
         sg.infer_mor_type(sg.Compose(sg.GenMor("f"), sg.GenMor("f")), sig)
+
+
+def test_morphism_keeps_its_first_type():
+    sig = _small_sig()
+    sig.declare_morphism("f", A, sg.Tensor((B, sg.UNIT)))
+    sig.declare_morphism("f", sg.Tensor((sg.UNIT, A)), B)  # the same type
+    with pytest.raises(FcnError, match="morphism f declared again"):
+        sig.declare_morphism("f", A, C)
+    assert sig.morphisms["f"] == (A, B)
 
 
 def test_infer_mor_type_structural():

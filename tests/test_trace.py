@@ -163,3 +163,23 @@ def test_long_memory_script(rounds):
     )
     sent = [RYE] + stored[:-1]
     assert events == [f"sent {v}" for v in sent] + [f"result {stored[-1]}"]
+
+
+class _Forwarding:
+    """Stands in for an Interp, forwarding only apply and attribute reads."""
+
+    def __init__(self, interp):
+        self._interp = interp
+
+    def apply(self, c, pv, a):
+        return self._interp.apply(c, pv, a)
+
+    def __getattr__(self, name):
+        return getattr(self._interp, name)
+
+
+def test_trace_through_a_forwarding_interp(interp):
+    moves = [ContinueMove(), RecvMove(WHEAT), StopMove()]
+    events = run_trace(_Forwarding(interp), g.memory, RYE, moves)
+    assert events == run_trace(interp, g.memory, RYE, moves)
+    assert events[-1] == "result wheatdough"
