@@ -9,7 +9,7 @@ A protocol denotes a payload functor:
     U & W       X  =  pair of a U-value and a W-value  (PPair)
     U + W       X  =  tagged U-value or W-value        (PInl / PInr)
     U^p         X  =  X + [[U]]([[U^p]] X)             (PInl stops, PInr steps)
-    U^x         X  =  X & [[U]]([[U^x]] X)             (PPair.lazy, forced once)
+    U^x         X  =  X & [[U]]([[U^x]] X)             (PPair.lazy)
 
 A cell with boundary [U | A -> B | W] denotes, for every payload type X, a
 map from ([[U]] X, A-value) to [[W]] (X, B-value): it consumes a U-shaped
@@ -24,6 +24,27 @@ next layer of a loop handle) into the continuation it hands its parts, so
 no output is walked twice.  Only the fold of a left-driven loop maps over
 its body's output, to reach the tower beneath.
 
+Environments are built call-by-need, so a run costs the path a reader
+walks, not the whole output:
+
+- the two arms of `Times` and the stop and next layer of a `^x` handle are
+  the sides of a `PPair.lazy`, each built on its own first read;
+- `pval_map` returns a pending map (`PMap`) at once.  `expect`, which
+  every read of a layer goes through, resolves it one layer at a time and
+  at most once, and the mapped function runs on a leaf only when a read
+  reaches it.  The silent cells (`IdH`, `Pi*`, `Inj*`) and the fold of a
+  left-driven loop map this way.  Maps over the same factor list compose
+  into one flat sequence of functions;
+- receive tables are eager: `GetR` builds every entry, though each entry
+  may itself be lazy.
+
+The readers are the rules that consume an input environment, the trace
+walk and the walkers below; `pval_equal` forces everything it compares.
+So a wrong-shaped layer raises `IllTypedValue` where it is read: a cell
+reads its input as it is applied, but inside an arm of `Times`, a loop
+handle or a pending map the error surfaces only when, and if, a read
+reaches it.
+
 A loop protocol is identified with its one-step unrolling, so each protocol
 shape has one environment: a right-driven loop shares the pair of a choice,
 and a left-driven loop the tagged value of an offer.
@@ -37,6 +58,7 @@ loop's step is its body's factors followed by the loop itself.
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 from dataclasses import dataclass
@@ -110,30 +132,35 @@ class PPair:
     """The environment of a choice U & W, or of a right-driven loop U^x read
     as its unrolling done & (U . U^x).
 
-    PPair(left, right) is built eagerly; PPair.lazy(thunk) defers both sides
-    to thunk(), which returns (left, right) and is forced at most once, on
-    the first read of either side.
+    PPair(left, right) is built eagerly.  PPair.lazy(left, right) takes a
+    thunk per side and builds each side on its own first read, at most
+    once; PPair.lazy(both) takes one thunk that returns (left, right) and
+    builds both sides on the first read of either.
     """
 
-    __slots__ = ("left", "right", "_thunk")
+    __slots__ = ("left", "right", "_left", "_right")
 
     def __init__(self, left, right):
         self.left = left
         self.right = right
 
     @classmethod
-    def lazy(cls, thunk):
+    def lazy(cls, left, right=None):
+        if right is None:
+            both = functools.cache(left)
+            left, right = lambda: both()[0], lambda: both()[1]
         pv = cls.__new__(cls)
-        pv._thunk = thunk
+        pv._left, pv._right = left, right
         return pv
 
     def __getattr__(self, name):
-        # reached only while a lazy pair's sides are unset
+        # reached only while a lazy side is unset: build it, drop its thunk
         if name not in ("left", "right"):
             raise AttributeError(name)
-        self.left, self.right = self._thunk()
-        del self._thunk
-        return getattr(self, name)
+        value = getattr(self, "_" + name)()
+        setattr(self, name, value)
+        delattr(self, "_" + name)
+        return value
 
 
 @dataclass
@@ -161,7 +188,9 @@ _SHAPE_NAMES = {
 
 def expect(pv, shape):
     """pv itself if it has the given shape (a key of _SHAPE_NAMES), else
-    IllTypedValue."""
+    IllTypedValue.  A pending map is resolved to its top layer first."""
+    if type(pv) is PMap:
+        pv = pv.layer()
     if isinstance(pv, shape):
         return pv
     raise IllTypedValue(f"expected {_SHAPE_NAMES[shape]}, got {pv!r}")
@@ -180,28 +209,67 @@ def branches(head):
 # Mapping over environment leaves
 
 
+class PMap:
+    """A pending leaf map: the environment pv over the flat factor list
+    protos with the functions fns applied in turn to every leaf.
+
+    layer() resolves it one layer at a time, at most once: it builds the
+    top layer of the mapped environment, whose parts are again pending
+    maps, and keeps it.
+    """
+
+    __slots__ = ("pv", "protos", "fns", "_layer")
+
+    def __init__(self, pv, protos, fns):
+        self.pv, self.protos, self.fns = pv, protos, fns
+        self._layer = None
+
+    def layer(self):
+        if self._layer is None:
+            self._layer = _map_layer(self.pv, self.protos, self.fns)
+            self.pv = self.fns = None
+        return self._layer
+
+
 def pval_map(pv, protos, fn):
     """Apply fn to every payload of an environment over a flat protocol
-    factor list.  Loop layers under a handle are mapped lazily."""
+    factor list.  Over a non-empty list the map is pending: it returns at
+    once, and fn runs on a leaf only when a read reaches it."""
+    return _mapped(pv, protos, (fn,))
+
+
+def _mapped(pv, protos, fns):
     if not protos:
-        return fn(pv)
+        for fn in fns:
+            pv = fn(pv)
+        return pv
+    if type(pv) is PMap and pv._layer is None and pv.protos == protos:
+        # only a map over the same list composes: over a prefix list the
+        # leaves are still environments, and fns must not reach into them
+        return PMap(pv.pv, protos, pv.fns + fns)
+    return PMap(pv, protos, fns)
+
+
+def _map_layer(pv, protos, fns):
+    """The top layer of pv mapped by fns, with pending maps beneath."""
     head, rest = protos[0], protos[1:]
-    if rest:
-        # map head's leaves, which are environments over rest
-        fn = lambda inner, fn=fn: pval_map(inner, rest, fn)
     if isinstance(head, SendP):
-        return PSend(pv.value, fn(pv.rest))
+        pv = expect(pv, PSend)
+        return PSend(pv.value, _mapped(pv.rest, rest, fns))
     if isinstance(head, RecvP):
-        return PTable({k: fn(v) for k, v in pv.table.items()})
+        pv = expect(pv, PTable)
+        return PTable({k: _mapped(v, rest, fns) for k, v in pv.table.items()})
     if isinstance(head, (ChooseP, StarXP)):
         pv = expect(pv, PPair)
         lp, rp = branches(head)
-        both = lambda: (pval_map(pv.left, lp, fn), pval_map(pv.right, rp, fn))
-        return PPair(*both()) if isinstance(head, ChooseP) else PPair.lazy(both)
+        return PPair.lazy(
+            lambda: _mapped(pv.left, lp + rest, fns),
+            lambda: _mapped(pv.right, rp + rest, fns),
+        )
     if isinstance(head, (OfferP, StarPP)):
         pv = expect(pv, TAGGED)
         side = branches(head)[isinstance(pv, PInr)]
-        return type(pv)(pval_map(pv.value, side, fn))
+        return type(pv)(_mapped(pv.value, side + rest, fns))
     raise TypeError(f"unknown protocol form {head!r}")
 
 
@@ -283,7 +351,9 @@ class Interp:
         if isinstance(c, Pi1):
             return _map_unit(expect(pv, PPair).right, c.right, k)
         if isinstance(c, Times):
-            return PPair(self.apply(c.a, pv, a, k), self.apply(c.b, pv, a, k))
+            return PPair.lazy(
+                lambda: self.apply(c.a, pv, a, k), lambda: self.apply(c.b, pv, a, k)
+            )
         if isinstance(c, Inj0):
             return PInl(_map_unit(pv, c.left, k))
         if isinstance(c, Inj1):
@@ -303,13 +373,12 @@ class Interp:
             def make_handle(leaf):
                 state, inp = leaf
 
-                def thunk():
-                    stop = self.apply(c.f, state, inp, k)
+                def layer():
                     # g peels a body-left environment over fresh loop states
                     peeled = self.apply(c.g, state, UNITV, _payload)
-                    return (stop, self.apply(c.alpha, peeled, inp, make_handle))
+                    return self.apply(c.alpha, peeled, inp, make_handle)
 
-                return PPair.lazy(thunk)
+                return PPair.lazy(lambda: self.apply(c.f, state, inp, k), layer)
 
             return make_handle((pv, a))
         if isinstance(c, IterP):
@@ -319,8 +388,9 @@ class Interp:
                 state = expect(state, TAGGED)
                 if isinstance(state, PInl):
                     return self.apply(c.f, state.value, inp, k)
-                # fold the layer's leaves after alpha returns rather than
-                # through its continuation, which would deepen the stack
+                # fold the layer's leaves through a pending map rather than
+                # alpha's continuation: each fold runs when a read reaches
+                # its leaf, so the stack does not grow with the tower
                 stepped = self.apply(c.alpha, state.value, inp)
                 folded = pval_map(stepped, body_right, lambda leaf: fold(*leaf))
                 return self.apply(c.g, folded, UNITV, _payload)
@@ -354,8 +424,12 @@ def pval_equal(p, q, protos, depth, payload_eq=None) -> bool:
         # compare head's leaves, which are environments over rest
         payload_eq = lambda x, y, eq=payload_eq: pval_equal(x, y, rest, depth, eq)
     if isinstance(head, SendP):
+        p = expect(p, PSend)
+        q = expect(q, PSend)
         return p.value == q.value and payload_eq(p.rest, q.rest)
     if isinstance(head, RecvP):
+        p = expect(p, PTable)
+        q = expect(q, PTable)
         if set(p.table) != set(q.table):
             return False
         return all(payload_eq(p.table[k], q.table[k]) for k in p.table)
@@ -441,8 +515,10 @@ def pval_show(pv, protos, depth=2, show=_show_payload) -> str:
         # depth: d is bound before a loop head lowers depth below
         show = lambda x, s=show, d=depth: pval_show(x, rest, d, s)
     if isinstance(head, SendP):
+        pv = expect(pv, PSend)
         return f"({pv.value}, {show(pv.rest)})"
     if isinstance(head, RecvP):
+        pv = expect(pv, PTable)
         inside = ", ".join(
             f"{k} -> {show(v)}" for k, v in sorted(
                 pv.table.items(), key=lambda kv: str(kv[0])

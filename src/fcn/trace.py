@@ -15,6 +15,10 @@ records an event for everything the cell does:
     event halted     a left-driven loop ended
     event more       a left-driven loop produced another layer
     event result v   the walk reached the bottom output v
+
+The environment is call-by-need, so a trace costs little beyond the path
+it walks: a pair side or a mapped leaf off that path is never built.
+Receive tables are the exception: every entry is built with its table.
 """
 
 from __future__ import annotations

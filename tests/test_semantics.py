@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import pathlib
 import random
+import re
 
 import pytest
 
@@ -314,7 +315,10 @@ def test_fused_apply_matches_mapped_on_gen_cells(interp):
 
 
 # ---------------------------------------------------------------------------
-# Where IllTypedValue is raised: at application time, before any walk.
+# Where IllTypedValue is raised: when the interpreter or a walker reads a
+# layer of the wrong shape.  A cell reads its input environment as it is
+# applied, but the arms of Times and the leaves of a pending map run only
+# when a read reaches them.
 
 
 @pytest.mark.parametrize(
@@ -330,11 +334,97 @@ def test_ill_typed_value_raised_at_apply(interp, cell, pv, a):
         interp.apply(cell, pv, a)
 
 
-def test_times_evaluates_both_branches(interp):
-    # the second branch wants a tagged input; Times runs it even though
-    # nobody has picked a branch yet
+def test_times_runs_each_branch_when_read(interp):
+    # the second branch wants a tagged input; Times runs it only once
+    # somebody reads that branch
+    pv = interp.apply(Times(IdV(A), CopairC(IdV(A), IdV(A))), None, RYE)
+    assert pv.left == (None, RYE)
     with pytest.raises(IllTypedValue):
-        interp.apply(Times(IdV(A), CopairC(IdV(A), IdV(A))), None, RYE)
+        pv.right
+
+
+@pytest.mark.parametrize(
+    "walk",
+    [
+        lambda pv, protos: pval_equal(pv, pv, protos, 2),
+        lambda pv, protos: pval_show(pv, protos),
+        lambda pv, protos: pval_show(pval_map(pv, protos, str), protos),
+    ],
+    ids=["pval_equal", "pval_show", "pval_map"],
+)
+def test_walkers_reject_wrong_shapes(walk):
+    # a table where a send belongs, and a send where a table belongs
+    cases = [
+        (PTable({RYE: 1}), (SendP(A),)),
+        (PSend(RYE, 1), (RecvP(A),)),
+        (PSend(RYE, PTable({RYE: 1})), (SendP(A), SendP(A))),
+    ]
+    for pv, protos in cases:
+        with pytest.raises(IllTypedValue):
+            walk(pv, protos)
+
+
+# ---------------------------------------------------------------------------
+# Pending maps: pval_map returns at once, and each layer of the mapped
+# environment is built on its first read and kept.
+
+
+def test_pending_map_runs_once_per_leaf():
+    calls = []
+
+    def fn(x):
+        calls.append(x)
+        return x.upper()
+
+    pv = PSend(RYE, PTable({RYE: "x0", WHEAT: "x1"}))
+    protos = proto_factors(seq_proto(SendP(A), RecvP(A)))
+    mapped = pval_map(pv, protos, fn)
+    assert calls == []
+    shown = pval_show(mapped, protos)
+    assert shown == "(ryedough, {ryedough -> X0, wheatdough -> X1})"
+    assert pval_show(mapped, protos) == shown
+    assert pval_equal(mapped, mapped, protos, 2)
+    assert sorted(calls) == ["x0", "x1"]
+
+
+@pytest.mark.parametrize("proto, rows", NESTED_SHAPES, ids=[str(p) for p, _ in NESTED_SHAPES])
+def test_stacked_maps_show_as_one_composed_map(interp, proto, rows):
+    protos = proto_factors(proto)
+    f, g2 = str.upper, lambda x: x + "!"
+    for depth in range(len(rows)):
+        for read_first in (False, True):
+            rng = random.Random(f"{proto}/{depth}")
+            mk = lambda: rng.choice(("x0", "x1"))
+            pv = rand_pval(rng, protos, mk, interp.val, depth)
+            inner = pval_map(pv, protos, f)
+            if read_first:
+                # a map over a map that has been read does not compose
+                pval_show(inner, protos, depth)
+            stacked = pval_map(inner, protos, g2)
+            composed = pval_map(pv, protos, lambda x: g2(f(x)))
+            shown = pval_show(stacked, protos, depth)
+            assert shown == pval_show(composed, protos, depth)
+            plain = pval_show(pv, protos, depth)
+            assert shown == re.sub(r"x(\d)", r"X\1!", plain)
+
+
+def test_prefix_map_keeps_its_leaves():
+    # over the prefix !dough of !dough . !dough the leaves are environments
+    # over the second !dough, so the second map must not compose with the
+    # first: it is handed those environments, not their payloads
+    one = (SendP(A),)
+    pv = PSend(RYE, PSend(WHEAT, "x"))
+    mapped = pval_map(pv, one + one, str.upper)
+    prefix = pval_map(mapped, one, lambda inner: pval_show(inner, one))
+    assert pval_show(prefix, one, show=str) == "(ryedough, (wheatdough, X))"
+
+
+def test_stacked_maps_read_under_the_recursion_limit():
+    protos = proto_factors(seq_proto(SendP(A), RecvP(A)))
+    pv = PSend(RYE, PTable({RYE: 0, WHEAT: 1}))
+    for _ in range(5000):
+        pv = pval_map(pv, protos, lambda x: x + 1)
+    assert pval_show(pv, protos) == "(ryedough, {ryedough -> 5000, wheatdough -> 5001})"
 
 
 def _cell_nodes(c):

@@ -4,6 +4,7 @@ import random
 import pytest
 
 import goldens as g
+from fcn import semantics
 from fcn import signature as sg
 from fcn.cells import GetL, GetR, HComp, Promote, PutR, Times, VComp
 from fcn.errors import IllTypedValue, ScriptOverrun, ScriptUnderrun, WrongMove
@@ -183,3 +184,98 @@ def test_trace_through_a_forwarding_interp(interp):
     events = run_trace(_Forwarding(interp), g.memory, RYE, moves)
     assert events == run_trace(interp, g.memory, RYE, moves)
     assert events[-1] == "result wheatdough"
+
+
+# ---------------------------------------------------------------------------
+# A trace costs the path it walks: a read forces only what it reaches, so
+# the environment layers built grow with the length of the run, not with
+# the number of paths through the output.
+
+DEMOS = pathlib.Path(__file__).resolve().parent.parent / "demos"
+_LAYERS = (
+    semantics.PSend,
+    semantics.PTable,
+    semantics.PInl,
+    semantics.PInr,
+    semantics.PPair,
+    semantics.PMap,
+)
+
+
+def _layers_built(monkeypatch, run):
+    """run() and the number of environment layers, pending maps included,
+    that were built while it ran."""
+    built = []
+
+    def counting(init):
+        def counted(self, *args):
+            built.append(type(self))
+            init(self, *args)
+
+        return counted
+
+    for cls in _LAYERS:
+        monkeypatch.setattr(cls, "__init__", counting(cls.__init__))
+    lazy = semantics.PPair.lazy.__func__
+
+    def counted_lazy(cls, *thunks):
+        built.append(cls)
+        return lazy(cls, *thunks)
+
+    monkeypatch.setattr(semantics.PPair, "lazy", classmethod(counted_lazy))
+    out = run()
+    monkeypatch.undo()
+    return out, len(built)
+
+
+def _sales_queue(k):
+    """The seller of demos/sales.fcn, stocked with one loaf, against a
+    queue of k customers who each pay c1: the document's cell `run`."""
+    got = "(coin (+) bread)"
+    lines = [(DEMOS / "sales.fcn").read_text()]
+    prev = "nobody"
+    for i in range(1, k + 1):
+        lines.append(
+            f"cell q{i} : [ I | I -> {' * '.join([got] * i)} | (customerP)^+ ] =\n"
+            f"  (customer / (1 {got} | {prev})) | in1{{I, customerP * (customerP)^+}};"
+        )
+        prev = f"q{i}"
+    lines.append(
+        f"cell run : [ I | I -> {' * '.join([got] * k)} * shelf * till | I ] =\n"
+        f"  {prev} | ([const(shelf * till, ([ryeloaf], []))] / sales);"
+    )
+    return parse_document("\n".join(lines))
+
+
+def test_sales_trace_layers_grow_linearly(monkeypatch):
+    counts = []
+    for k in (4, 8):
+        doc = _sales_queue(k)
+        run = lambda: run_trace(
+            Interp(doc.sig, doc.val), doc.cells["run"].term, sg.UNITV, []
+        )
+        events, n = _layers_built(monkeypatch, run)
+        # the first customer buys the loaf, the others are refunded
+        paid = ", ".join(["inr ryeloaf"] + ["inl c1"] * (k - 1))
+        assert events == [f"result ({paid}, [], [c1])"]
+        counts.append(n)
+    assert counts[1] <= 2.5 * counts[0], counts
+
+
+def test_mealy_trace_layers_grow_linearly(monkeypatch):
+    table = {
+        ("i0", "s0"): ("s1", "o1"),
+        ("i1", "s0"): ("s0", "o0"),
+        ("i0", "s1"): ("s0", "o0"),
+        ("i1", "s1"): ("s1", "o1"),
+    }
+    sig, val, (a, s, b) = g.mealy_signature(2, 2, 2, table)
+    counts = []
+    for n in (40, 160):
+        word = ["i0", "i1"] * (n // 2)
+        cell = g.mealy_driver(word, sig, a, s, b)
+        run = lambda: run_trace(Interp(sig, val), cell, sg.AtomV("s0"), [])
+        events, built = _layers_built(monkeypatch, run)
+        assert len(events) == 2 * n + 2 and events[-1] == "result s0"
+        counts.append(built)
+    assert counts[1] <= 5 * counts[0], counts
