@@ -95,18 +95,12 @@ class Promote(Cell):
 
     mor: MorExpr
 
-    def __str__(self):
-        return f"[{self.mor}]"
-
 
 @dataclass(frozen=True)
 class GetL(Cell):
     """Receive an A from the left participant: left !A, output A."""
 
     obj: ObjExpr
-
-    def __str__(self):
-        return f"getL {self.obj}"
 
 
 @dataclass(frozen=True)
@@ -115,18 +109,12 @@ class PutR(Cell):
 
     obj: ObjExpr
 
-    def __str__(self):
-        return f"putR {self.obj}"
-
 
 @dataclass(frozen=True)
 class GetR(Cell):
     """Receive an A from the right participant: right ?A, output A."""
 
     obj: ObjExpr
-
-    def __str__(self):
-        return f"getR {self.obj}"
 
 
 @dataclass(frozen=True)
@@ -135,9 +123,6 @@ class PutL(Cell):
 
     obj: ObjExpr
 
-    def __str__(self):
-        return f"putL {self.obj}"
-
 
 @dataclass(frozen=True)
 class IdV(Cell):
@@ -145,18 +130,12 @@ class IdV(Cell):
 
     obj: ObjExpr
 
-    def __str__(self):
-        return f"1 {self.obj}"
-
 
 @dataclass(frozen=True)
 class IdH(Cell):
     """Pass-through row: protocol U flows left to right, no data."""
 
     proto: Protocol
-
-    def __str__(self):
-        return f"id {self.proto}"
 
 
 @dataclass(frozen=True)
@@ -166,9 +145,6 @@ class HComp(Cell):
     a: Cell
     b: Cell
 
-    def __str__(self):
-        return f"({self.a} | {self.b})"
-
 
 @dataclass(frozen=True)
 class VComp(Cell):
@@ -176,9 +152,6 @@ class VComp(Cell):
 
     a: Cell
     b: Cell
-
-    def __str__(self):
-        return f"({self.a} / {self.b})"
 
 
 @dataclass(frozen=True)
@@ -188,17 +161,11 @@ class Pi0(Cell):
     left: Protocol
     right: Protocol
 
-    def __str__(self):
-        return f"pi0{{{self.left}, {self.right}}}"
-
 
 @dataclass(frozen=True)
 class Pi1(Cell):
     left: Protocol
     right: Protocol
-
-    def __str__(self):
-        return f"pi1{{{self.left}, {self.right}}}"
 
 
 @dataclass(frozen=True)
@@ -208,9 +175,6 @@ class Times(Cell):
     a: Cell
     b: Cell
 
-    def __str__(self):
-        return f"times({self.a}, {self.b})"
-
 
 @dataclass(frozen=True)
 class Inj0(Cell):
@@ -219,17 +183,11 @@ class Inj0(Cell):
     left: Protocol
     right: Protocol
 
-    def __str__(self):
-        return f"in0{{{self.left}, {self.right}}}"
-
 
 @dataclass(frozen=True)
 class Inj1(Cell):
     left: Protocol
     right: Protocol
-
-    def __str__(self):
-        return f"in1{{{self.left}, {self.right}}}"
 
 
 @dataclass(frozen=True)
@@ -239,9 +197,6 @@ class Plus(Cell):
     a: Cell
     b: Cell
 
-    def __str__(self):
-        return f"plus({self.a}, {self.b})"
-
 
 @dataclass(frozen=True)
 class CopairC(Cell):
@@ -249,9 +204,6 @@ class CopairC(Cell):
 
     a: Cell
     b: Cell
-
-    def __str__(self):
-        return f"copair({self.a}, {self.b})"
 
 
 @dataclass(frozen=True)
@@ -266,9 +218,6 @@ class IterX(Cell):
     f: Cell
     g: Cell
 
-    def __str__(self):
-        return f"iterX({self.alpha}; {self.f}; {self.g})"
-
 
 @dataclass(frozen=True)
 class IterP(Cell):
@@ -281,9 +230,6 @@ class IterP(Cell):
     alpha: Cell
     f: Cell
     g: Cell
-
-    def __str__(self):
-        return f"iterP({self.alpha}; {self.f}; {self.g})"
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,7 @@ def _load(path: str):
 def _pick_cell(doc, name):
     decl = doc.cells.get(name)
     if decl is None:
-        known = ", ".join(doc.cell_order) or "none declared"
+        known = ", ".join(doc.cells) or "none declared"
         raise click.ClickException(
             str(UnknownCell(f"no cell named {name!r} (cells: {known})"))
         )
@@ -57,7 +57,7 @@ def main():
 def check(file):
     """Typecheck every cell in FILE."""
     doc = _load(file)
-    for name in doc.cell_order:
+    for name in doc.cells:
         click.echo(f"OK {name} : {doc.cells[name].declared}")
 
 

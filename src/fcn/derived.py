@@ -106,9 +106,9 @@ def crossing(u: Protocol, a: sg.ObjExpr) -> Cell:
             HComp(Pi1(u.left, u.right), crossing(u.right, a)),
         )
     if isinstance(u, StarXP):
-        return simple_iter_x(crossing(u.body, a))
+        return _iter_x(crossing(u.body, a), u.body, a)
     if isinstance(u, StarPP):
-        return simple_iter_p(crossing(u.body, a))
+        return _iter_p(crossing(u.body, a), u.body, a)
     raise IllTypedSubterm(f"cannot build a crossing for {u}")
 
 
@@ -139,20 +139,30 @@ def _p_unroll(u: Protocol):
     return u, DONE, seq_proto(u, StarPP(u))
 
 
-def simple_iter_x(a: Cell, sig: sg.Signature | None = None) -> Cell:
+def simple_iter_x(a: Cell, sig: sg.Signature) -> Cell:
     """Lift [u | A -> A | w] to [u^x | A -> A | w^x]: replay a once per
     round demanded by the right participant."""
-    ba = infer_boundary(a, sig or sg.Signature())
-    _, stop, step = _x_unroll(ba.left)
-    return IterX(a, HComp(Pi0(stop, step), IdV(ba.top)), Pi1(stop, step))
+    ba = infer_boundary(a, sig)
+    return _iter_x(a, ba.left, ba.top)
 
 
-def simple_iter_p(a: Cell, sig: sg.Signature | None = None) -> Cell:
+def simple_iter_p(a: Cell, sig: sg.Signature) -> Cell:
     """Lift [u | A -> A | w] to [u^p | A -> A | w^p]: replay a once per
     layer supplied by the left participant."""
-    ba = infer_boundary(a, sig or sg.Signature())
-    _, stop, step = _p_unroll(ba.right)
-    return IterP(a, HComp(IdV(ba.top), Inj0(stop, step)), Inj1(stop, step))
+    ba = infer_boundary(a, sig)
+    return _iter_p(a, ba.right, ba.top)
+
+
+def _iter_x(a: Cell, u: Protocol, top: sg.ObjExpr) -> Cell:
+    """simple_iter_x of a, given a's left protocol u and top object."""
+    _, stop, step = _x_unroll(u)
+    return IterX(a, HComp(Pi0(stop, step), IdV(top)), Pi1(stop, step))
+
+
+def _iter_p(a: Cell, u: Protocol, top: sg.ObjExpr) -> Cell:
+    """simple_iter_p of a, given a's right protocol u and top object."""
+    _, stop, step = _p_unroll(u)
+    return IterP(a, HComp(IdV(top), Inj0(stop, step)), Inj1(stop, step))
 
 
 # ---------------------------------------------------------------------------

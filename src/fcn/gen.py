@@ -82,11 +82,12 @@ def rand_value(rng: random.Random, obj, val: Valuation):
 
 
 def rand_pval(rng: random.Random, protos, mkpayload, val: Valuation, depth=3):
-    """A random environment over a flat protocol factor list.
+    """A random environment over a flat protocol factor list, drawn in full
+    when called, so it depends only on the state of rng.
 
     Finite loops have at most `depth` layers; right-driven loops become
-    eventually-constant handles that settle after `depth` rounds.  Fresh
-    leaf payloads come from mkpayload().
+    eventually-constant handles: after `depth` rounds a handle is its own
+    next layer, a cycle.  Fresh leaf payloads come from mkpayload().
     """
     if not protos:
         return mkpayload()
@@ -108,18 +109,13 @@ def rand_pval(rng: random.Random, protos, mkpayload, val: Valuation, depth=3):
                 rand_pval(rng, lp, mkpayload, val, depth),
                 rand_pval(rng, rp, mkpayload, val, depth),
             )
-
-        def thunk():
-            # a handle settles after depth rounds into its own next layer
-            nxt = handle
-            if depth > 0:
-                nxt = rand_pval(rng, rp[-1:], mkpayload, val, depth - 1)
-            return (
-                rand_pval(rng, lp, mkpayload, val, depth),
-                rand_pval(rng, rp[:-1], lambda: nxt, val, depth),
-            )
-
-        handle = PPair.lazy(thunk)
+        # a handle settles after depth rounds into its own next layer
+        handle = PPair(None, None)
+        nxt = handle
+        if depth > 0:
+            nxt = rand_pval(rng, rp[-1:], mkpayload, val, depth - 1)
+        handle.left = rand_pval(rng, lp, mkpayload, val, depth)
+        handle.right = rand_pval(rng, rp[:-1], lambda: nxt, val, depth)
         return handle
     if isinstance(head, (OfferP, StarPP)):
         if isinstance(head, OfferP):

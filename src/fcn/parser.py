@@ -188,8 +188,7 @@ class Document:
     val: sg.Valuation = field(default_factory=sg.Valuation)
     protocols: dict = field(default_factory=dict)
     aliases: dict = field(default_factory=dict)  # name -> ObjExpr (list carriers)
-    cells: dict = field(default_factory=dict)
-    cell_order: list = field(default_factory=list)
+    cells: dict = field(default_factory=dict)  # in declaration order
 
 
 def parse_document(text: str) -> Document:
@@ -315,7 +314,10 @@ class _Parser:
 
     def cell_decl(self):
         s = self.s
-        name = s.ident("a cell name").text
+        t = s.ident("a cell name")
+        name = t.text
+        if name in self.doc.cells:
+            raise ParseError(f"cell {name} declared again", line=t.line, column=t.col)
         s.expect(":")
         s.expect("[")
         left = self.proto()
@@ -335,7 +337,6 @@ class _Parser:
                 f"cell {name}", str(declared), str(inferred)
             )
         self.doc.cells[name] = CellDecl(name, inferred, term)
-        self.doc.cell_order.append(name)
 
     # -- objects ------------------------------------------------------------
 

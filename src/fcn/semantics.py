@@ -9,7 +9,7 @@ A protocol denotes a payload functor:
     U & W       X  =  pair of a U-value and a W-value  (PPair)
     U + W       X  =  tagged U-value or W-value        (PInl / PInr)
     U^p         X  =  X + [[U]]([[U^p]] X)             (PInl stops, PInr steps)
-    U^x         X  =  X & [[U]]([[U^x]] X)             (PPair.lazy)
+    U^x         X  =  X & [[U]]([[U^x]] X)             (PPair)
 
 A cell with boundary [U | A -> B | W] denotes, for every payload type X, a
 map from ([[U]] X, A-value) to [[W]] (X, B-value): it consumes a U-shaped
@@ -49,16 +49,27 @@ A loop protocol is identified with its one-step unrolling, so each protocol
 shape has one environment: a right-driven loop shares the pair of a choice,
 and a left-driven loop the tagged value of an offer.
 
-The environment walkers (`pval_map`, `pval_equal`, `pval_show`,
-`pval_enumerate`) take flat factor lists, as `proto_factors` returns them,
-and `branches` hands them the flat lists of a node's two sides.  So no
-walker meets `done` or a nested sequence: `done` is the empty list, and a
-loop's step is its body's factors followed by the loop itself.
+The environment walkers (`pval_map`, `pval_enumerate` and the observation
+below) take flat factor lists, as `proto_factors` returns them, and
+`branches` hands them the flat lists of a node's two sides.  So no walker
+meets `done` or a nested sequence: `done` is the empty list, and a loop's
+step is its body's factors followed by the loop itself.
+
+Environments are compared and printed through one observation, a flat token
+list: structure marks, each sent value and table key (tables in the order
+of their keys' text), `#handle` where a `^x` handle is cut off, and the
+payloads at the leaves.  `pval_equal` asks whether two observations are
+equal and `pval_show` renders one, so two environments print alike exactly
+when they are equal at that depth: behavioural equivalence up to a bounded
+number of loop rounds (Rutten, *Universal Coalgebra*, TCS 2000).  The depth
+rule: a `^x` handle observed at depth 0 is cut off; above that, its stop
+side and its body are observed at the handle's depth d, the loop beneath
+them at d - 1, and whatever follows a factor at the depth where that factor
+was split off.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 
 from dataclasses import dataclass
@@ -134,8 +145,7 @@ class PPair:
 
     PPair(left, right) is built eagerly.  PPair.lazy(left, right) takes a
     thunk per side and builds each side on its own first read, at most
-    once; PPair.lazy(both) takes one thunk that returns (left, right) and
-    builds both sides on the first read of either.
+    once.
     """
 
     __slots__ = ("left", "right", "_left", "_right")
@@ -145,10 +155,7 @@ class PPair:
         self.right = right
 
     @classmethod
-    def lazy(cls, left, right=None):
-        if right is None:
-            both = functools.cache(left)
-            left, right = lambda: both()[0], lambda: both()[1]
+    def lazy(cls, left, right):
         pv = cls.__new__(cls)
         pv._left, pv._right = left, right
         return pv
@@ -405,56 +412,7 @@ def _map_unit(pv, proto, k):
 
 
 # ---------------------------------------------------------------------------
-# Environment equality, enumeration, and printing
-
-
-def pval_equal(p, q, protos, depth, payload_eq=None) -> bool:
-    """Observational equality of environments over a flat factor list.
-
-    Loop handles are compared by observing up to `depth` unrollings; at
-    depth zero any two handles count as equal.  Payloads at the leaves are
-    compared with payload_eq (default: ==).
-    """
-    if payload_eq is None:
-        payload_eq = lambda x, y: x == y
-    if not protos:
-        return payload_eq(p, q)
-    head, rest = protos[0], protos[1:]
-    if rest:
-        # compare head's leaves, which are environments over rest
-        payload_eq = lambda x, y, eq=payload_eq: pval_equal(x, y, rest, depth, eq)
-    if isinstance(head, SendP):
-        p = expect(p, PSend)
-        q = expect(q, PSend)
-        return p.value == q.value and payload_eq(p.rest, q.rest)
-    if isinstance(head, RecvP):
-        p = expect(p, PTable)
-        q = expect(q, PTable)
-        if set(p.table) != set(q.table):
-            return False
-        return all(payload_eq(p.table[k], q.table[k]) for k in p.table)
-    if isinstance(head, (ChooseP, StarXP)):
-        lp, rp = branches(head)
-        right_eq = payload_eq
-        if isinstance(head, StarXP):
-            if depth <= 0:
-                return True
-            # the body is compared at depth, the loop beneath it at depth - 1
-            rp, tail = rp[:-1], rp[-1:]
-            right_eq = lambda x, y: pval_equal(x, y, tail, depth - 1, payload_eq)
-        p = expect(p, PPair)
-        q = expect(q, PPair)
-        return pval_equal(p.left, q.left, lp, depth, payload_eq) and pval_equal(
-            p.right, q.right, rp, depth, right_eq
-        )
-    if isinstance(head, (OfferP, StarPP)):
-        p = expect(p, TAGGED)
-        q = expect(q, TAGGED)
-        if type(p) is not type(q):
-            return False
-        side = branches(head)[isinstance(p, PInr)]
-        return pval_equal(p.value, q.value, side, depth, payload_eq)
-    raise TypeError(f"unknown protocol form {head!r}")
+# Environment enumeration, observation, and printing
 
 
 def pval_enumerate(protos, payloads, val: Valuation):
@@ -497,6 +455,84 @@ def pval_enumerate(protos, payloads, val: Valuation):
     raise NotEnumerable(f"cannot enumerate environments of {head}")
 
 
+class _Mark:
+    """A structure token of an observation.  A mark that a sent value or a
+    table key follows has as `key` the text printed after that value."""
+
+    __slots__ = ("text", "key")
+
+    def __init__(self, text, key=None):
+        self.text, self.key = text, key
+
+
+_SEND, _END_SEND = _Mark("(", ", "), _Mark(")")
+_TABLE, _END_TABLE = _Mark("{"), _Mark("}")
+_KEY, _NEXT_KEY = _Mark("", " -> "), _Mark(", ", " -> ")
+_PAIR, _COMMA, _END_PAIR = _Mark("<"), _Mark(", "), _Mark(">")
+_HANDLE = _Mark("#handle")
+# the tags of an offer and of a left-driven loop, stop side first
+_TAGS = ((_Mark("L "), _Mark("R ")), (_Mark("stop "), _Mark("step ")))
+
+
+def _observe(out, pv, protos, depth, then=None):
+    """Append to out the observation of pv over the flat factor list protos
+    at depth.  Its leaves are payloads when `then` is None, and otherwise
+    environments observed over `then`, a triple (protos, depth, then)."""
+    while not protos:
+        if then is None:
+            out.append(pv)
+            return
+        protos, depth, then = then
+    head, rest = protos[0], protos[1:]
+    if isinstance(head, SendP):
+        pv = expect(pv, PSend)
+        out += (_SEND, pv.value)
+        _observe(out, pv.rest, rest, depth, then)
+        out.append(_END_SEND)
+    elif isinstance(head, RecvP):
+        table = expect(pv, PTable).table
+        out.append(_TABLE)
+        mark = _KEY
+        for key in sorted(table, key=str):
+            out += (mark, key)
+            _observe(out, table[key], rest, depth, then)
+            mark = _NEXT_KEY
+        out.append(_END_TABLE)
+    elif isinstance(head, (ChooseP, StarXP)):
+        if isinstance(head, StarXP) and depth <= 0:
+            out.append(_HANDLE)
+            return
+        pv = expect(pv, PPair)
+        lp, rp = branches(head)
+        out.append(_PAIR)
+        _observe(out, pv.left, lp + rest, depth, then)
+        out.append(_COMMA)
+        if isinstance(head, StarXP):
+            # the body at depth, the loop beneath it at depth - 1, and what
+            # follows the loop at the depth it was split off at
+            below = (rp[-1:], depth - 1, (rest, depth, then))
+            _observe(out, pv.right, rp[:-1], depth, below)
+        else:
+            _observe(out, pv.right, rp + rest, depth, then)
+        out.append(_END_PAIR)
+    elif isinstance(head, (OfferP, StarPP)):
+        pv = expect(pv, TAGGED)
+        step = isinstance(pv, PInr)
+        out.append(_TAGS[isinstance(head, StarPP)][step])
+        _observe(out, pv.value, branches(head)[step] + rest, depth, then)
+    else:
+        raise TypeError(f"unknown protocol form {head!r}")
+
+
+def pval_equal(p, q, protos, depth) -> bool:
+    """Observational equality of environments over a flat factor list: the
+    two observations at `depth` are equal."""
+    seen_p, seen_q = [], []
+    _observe(seen_p, p, protos, depth)
+    _observe(seen_q, q, protos, depth)
+    return seen_p == seen_q
+
+
 def _show_payload(x) -> str:
     if isinstance(x, tuple):
         return "(" + ", ".join(_show_payload(i) for i in x) + ")"
@@ -504,40 +540,19 @@ def _show_payload(x) -> str:
 
 
 def pval_show(pv, protos, depth=2, show=_show_payload) -> str:
-    """Render an environment over a flat protocol factor list, expanding
-    loop handles to `depth` layers.  Payloads at the leaves are rendered
-    with show."""
-    if not protos:
-        return show(pv)
-    head, rest = protos[0], protos[1:]
-    if rest:
-        # head's leaves are environments over rest, shown at this call's
-        # depth: d is bound before a loop head lowers depth below
-        show = lambda x, s=show, d=depth: pval_show(x, rest, d, s)
-    if isinstance(head, SendP):
-        pv = expect(pv, PSend)
-        return f"({pv.value}, {show(pv.rest)})"
-    if isinstance(head, RecvP):
-        pv = expect(pv, PTable)
-        inside = ", ".join(
-            f"{k} -> {show(v)}" for k, v in sorted(
-                pv.table.items(), key=lambda kv: str(kv[0])
-            )
-        )
-        return "{" + inside + "}"
-    if isinstance(head, (ChooseP, StarXP)):
-        if isinstance(head, StarXP):
-            if depth <= 0:
-                return "#handle"
-            depth -= 1
-        lp, rp = branches(head)
-        pv = expect(pv, PPair)
-        left = pval_show(pv.left, lp, depth, show)
-        return f"<{left}, {pval_show(pv.right, rp, depth, show)}>"
-    if isinstance(head, (OfferP, StarPP)):
-        pv = expect(pv, TAGGED)
-        step = isinstance(pv, PInr)
-        word = ("L", "R") if isinstance(head, OfferP) else ("stop", "step")
-        side = branches(head)[step]
-        return f"{word[step]} {pval_show(pv.value, side, depth, show)}"
-    raise TypeError(f"unknown protocol form {head!r}")
+    """Render the observation of an environment over a flat factor list at
+    `depth`.  Payloads at the leaves are rendered with show, sent values
+    and table keys with str."""
+    seen = []
+    _observe(seen, pv, protos, depth)
+    parts, key = [], None
+    for t in seen:
+        if type(t) is _Mark:
+            parts.append(t.text)
+            key = t.key
+        elif key is not None:
+            parts += (str(t), key)
+            key = None
+        else:
+            parts.append(show(t))
+    return "".join(parts)

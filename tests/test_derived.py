@@ -1,4 +1,5 @@
 import goldens as g
+from fcn import cells
 from fcn import signature as sg
 from fcn.cells import Boundary, infer_boundary
 from fcn.derived import (
@@ -103,6 +104,26 @@ def test_simple_iter_boundaries(bakery):
     bp = infer_boundary(simple_iter_p(body, sig), sig)
     assert proto_equal(bp.left, StarPP(SendP(A)))
     assert bp.right == StarPP(SendP(A))
+
+
+def test_loop_crossing_is_typed_once(bakery, monkeypatch):
+    # a loop crossing is built without typing its body, so each boundary
+    # is built once, under the signature that types the crossing
+    sig, _ = bakery
+    built = []
+    real = cells.boundary
+
+    def counted(*parts):
+        built.append(parts)
+        return real(*parts)
+
+    monkeypatch.setattr(cells, "boundary", counted)
+    for loop in (StarXP, StarPP):
+        built.clear()
+        c = crossing(loop(SendP(A)), g.OVEN)
+        assert len(built) == 0
+        infer_boundary(c, sig)
+        assert len(built) == 14
 
 
 def test_moral_equivalence_round_trips(bakery):

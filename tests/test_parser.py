@@ -42,7 +42,7 @@ def doc(text):
 
 def test_empty_document():
     d = parse_document("")
-    assert d.cell_order == []
+    assert list(d.cells) == []
 
 
 def test_values():
@@ -117,6 +117,13 @@ def test_morphism_redeclared_with_another_type():
     assert "morphism f declared again" in str(e.value)
 
 
+def test_cell_redeclared():
+    with pytest.raises(ParseError) as e:
+        doc("cell k : [ I | a -> b | I ] = [f];\ncell k : [ I | a -> a | I ] = 1 a;")
+    assert (e.value.line, e.value.column) == (9, 6)
+    assert "cell k declared again" in str(e.value)
+
+
 def test_parse_error_position():
     with pytest.raises(ParseError) as e:
         parse_document("object ;")
@@ -187,7 +194,7 @@ def test_macros_expand(bakery):
         "cell d : [ (send b)^x | I -> I | (send b)^x * (send b)^x ] ="
         " deltaX{send b};"
     )
-    assert len(d.cell_order) == 4
+    assert len(d.cells) == 4
 
 
 def test_round_trip_golden(bakery):

@@ -135,20 +135,27 @@ def test_pval_show_shapes(interp):
 
 
 def test_lazy_pair_runs_its_thunk_once():
+    # each side runs its own thunk, on its own first read and only once
     calls = []
 
-    def thunk():
-        calls.append(None)
-        return "stop", PSend(RYE, pv)  # a handle that is its own next layer
+    def side(name, value):
+        def thunk():
+            calls.append(name)
+            return value()
 
-    pv = PPair.lazy(thunk)
+        return thunk
+
+    # a handle that is its own next layer
+    pv = PPair.lazy(side("stop", lambda: "stop"), side("step", lambda: PSend(RYE, pv)))
     protos = proto_factors(StarXP(SendP(A)))
-    assert pv.left == "stop" and pv.right.rest is pv and pv.left == "stop"
+    assert calls == []
+    assert pv.right.rest is pv and pv.right.rest is pv and calls == ["step"]
+    assert pv.left == "stop" and pv.left == "stop"
     assert pval_equal(pv, pv, protos, depth=3)
     mapped = pval_map(pv, protos, lambda x: x + "!")
     shown = pval_show(mapped, protos, 2)
     assert shown == "<stop!, (ryedough, <stop!, (ryedough, #handle)>)>"
-    assert len(calls) == 1
+    assert calls == ["step", "stop"]
 
 
 # Environments over nested shapes, drawn by rand_pval at depths 0-3: each
@@ -172,17 +179,17 @@ NESTED_SHAPES = [
     ]),
     (StarXP(seq_proto(SendP(A), SendP(g.BREAD))), [
         ("#handle", "TFFF"),
-        ("<x1, (wheatdough, (ryeloaf, #handle))>", "TFFF"),
+        ("<x0, (wheatdough, (wheatloaf, #handle))>", "TFFF"),
         (
-            "<x0, (ryedough, (wheatloaf, "
+            "<x0, (ryedough, (ryeloaf, "
             "<x0, (wheatdough, (wheatloaf, #handle))>))>",
             "TFFF",
         ),
         (
-            "<x1, (wheatdough, (wheatloaf, "
-            "<x1, (wheatdough, (ryeloaf, "
-            "<x0, (wheatdough, (ryeloaf, #handle))>))>))>",
-            "TFFF",
+            "<x0, (wheatdough, (wheatloaf, "
+            "<x0, (wheatdough, (ryeloaf, "
+            "<x1, (wheatdough, (ryeloaf, #handle))>))>))>",
+            "TTFF",
         ),
     ]),
     (StarPP(seq_proto(SendP(A), RecvP(OVEN))), [
@@ -197,9 +204,9 @@ NESTED_SHAPES = [
     ]),
     (StarXP(DONE), [
         ("#handle", "TTTT"),
-        ("<x1, #handle>", "TFFF"),
-        ("<x1, <x1, #handle>>", "TFFF"),
-        ("<x0, <x0, <x1, #handle>>>", "TTTT"),
+        ("<x0, #handle>", "TFFF"),
+        ("<x0, <x1, #handle>>", "TFFF"),
+        ("<x0, <x1, <x0, #handle>>>", "TFFF"),
     ]),
     (StarPP(DONE), [
         ("stop x0", "FFFF"),
@@ -208,14 +215,21 @@ NESTED_SHAPES = [
         ("stop x0", "TTTT"),
     ]),
     (StarXP(seq_proto(SendP(A), StarXP(SendP(OVEN)))), [
-        ("#handle", "TTTT"),
-        ("<x0, (wheatdough, #handle)>", "TFFF"),
-        ("<x0, (ryedough, <<x0, (ryedough, #handle)>, (hot, #handle)>)>", "TTTT"),
+        ("#handle", "TFFF"),
+        ("<x0, (wheatdough, <#handle, (hot, #handle)>)>", "TTFF"),
         (
-            "<x1, (ryedough, <<x0, (ryedough, <<x1, (wheatdough, #handle)>, "
-            "(hot, #handle)>)>, (hot, <<x0, (ryedough, "
-            "<<x1, (wheatdough, #handle)>, (hot, #handle)>)>, "
-            "(hot, #handle)>)>)>",
+            "<x1, (ryedough, <<x0, (ryedough, <#handle, (hot, #handle)>)>, "
+            "(hot, <<x0, (ryedough, <#handle, (hot, #handle)>)>, (hot, #handle)>)>)>",
+            "TFFF",
+        ),
+        (
+            "<x0, (ryedough, <<x1, (ryedough, <<x0, (ryedough, <#handle, "
+            "(hot, #handle)>)>, (hot, <<x0, (ryedough, <#handle, (hot, #handle)>)>, "
+            "(hot, #handle)>)>)>, (hot, <<x1, (ryedough, <<x0, (ryedough, <#handle, "
+            "(hot, #handle)>)>, (hot, <<x0, (ryedough, <#handle, (hot, #handle)>)>, "
+            "(hot, #handle)>)>)>, (hot, <<x1, (ryedough, <<x0, (ryedough, <#handle, "
+            "(hot, #handle)>)>, (hot, <<x0, (ryedough, <#handle, (hot, #handle)>)>, "
+            "(hot, #handle)>)>)>, (hot, #handle)>)>)>)>",
             "TFFF",
         ),
     ]),
@@ -231,15 +245,16 @@ NESTED_SHAPES = [
     ]),
     (StarXP(seq_proto(RecvP(OVEN), StarPP(SendP(A)))), [
         ("#handle", "TFFF"),
-        ("<x0, {hot -> step (wheatdough, stop #handle)}>", "TFFF"),
+        ("<x0, {hot -> stop #handle}>", "TFFF"),
         (
-            "<x0, {hot -> step (ryedough, step (wheatdough, "
-            "stop <x0, {hot -> step (wheatdough, stop #handle)}>))}>",
+            "<x0, {hot -> step (wheatdough, "
+            "stop <x0, {hot -> step (wheatdough, stop #handle)}>)}>",
             "TFFF",
         ),
         (
-            "<x0, {hot -> stop <x1, {hot -> stop <x1, {hot -> stop #handle}>}>}>",
-            "TTFF",
+            "<x0, {hot -> stop <x0, {hot -> step (ryedough, "
+            "stop <x0, {hot -> step (wheatdough, stop #handle)}>)}>}>",
+            "TFFF",
         ),
     ]),
 ]
@@ -259,6 +274,46 @@ def test_walkers_on_nested_shapes(interp, proto, rows):
         assert pval_show(mapped, protos, depth) == shown.replace("x", "X")
         eq = "".join("TF"[not pval_equal(pv, pw, protos, d)] for d in range(4))
         assert eq == want_eq
+
+
+# (!dough^x)^x, the right boundary of duplicate_x that comonad-x compares,
+# the same with a send before the inner loop, and the nested shapes above:
+# two environments print alike exactly when they are equal at that depth.
+AGREEMENT_SHAPES = [
+    StarXP(StarXP(SendP(A))),
+    StarXP(seq_proto(SendP(OVEN), StarXP(SendP(A)))),
+] + [proto for proto, _ in NESTED_SHAPES]
+
+
+@pytest.mark.parametrize("proto", AGREEMENT_SHAPES, ids=str)
+def test_equal_exactly_when_shown_alike(interp, proto):
+    protos = proto_factors(proto)
+    rng = random.Random(f"agree/{proto}")
+    mk = lambda: rng.choice(("x0", "x1"))
+    for _ in range(60):
+        draw = lambda: rand_pval(rng, protos, mk, interp.val, rng.randrange(4))
+        pv, pw = draw(), draw()
+        for d in range(4):
+            alike = pval_show(pv, protos, d) == pval_show(pw, protos, d)
+            assert pval_equal(pv, pw, protos, d) == alike, (d, pval_show(pv, protos, d))
+
+
+def test_sampled_input_does_not_depend_on_reading_order(interp):
+    # an input is drawn in full when it is sampled, so reading its handles
+    # beneath before the ones above changes nothing
+    protos = proto_factors(StarXP(seq_proto(SendP(A), StarXP(SendP(OVEN)))))
+    for seed in range(10):
+        shown = []
+        for deep_first in (False, True):
+            rng = random.Random(seed)
+            mk = lambda: rng.choice(("x0", "x1"))
+            pv = rand_pval(rng, protos, mk, interp.val, 3)
+            if deep_first:
+                inner = pv.right.rest
+                for _ in range(4):
+                    inner = inner.right.rest
+            shown.append(pval_show(pv, protos, 3))
+        assert shown[0] == shown[1], seed
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +342,7 @@ def test_fused_apply_matches_mapped_on_demo_cells():
     for path in sorted(DEMOS.glob("*.fcn")):
         doc = parse_document(path.read_text())
         interp = Interp(doc.sig, doc.val)
-        for name in doc.cell_order:
+        for name in doc.cells:
             _assert_fused(interp, doc.cells[name].term, rng)
 
 
