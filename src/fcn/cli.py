@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import os
 import sys
 
 import click
@@ -35,16 +34,6 @@ def _pick_cell(doc, name):
             str(UnknownCell(f"no cell named {name!r} (cells: {known})"))
         )
     return decl
-
-
-def _seed(flag_value: int) -> int:
-    env = os.environ.get("FCN_SEED")
-    if env is not None:
-        try:
-            return int(env, 0)
-        except ValueError:
-            raise click.ClickException(f"FCN_SEED is not a number: {env!r}")
-    return flag_value
 
 
 @click.group()
@@ -115,7 +104,7 @@ def eval_cmd(file, cellname, literal, scriptfile):
 def laws(file, depth, samples, seed):
     """Run the equational law suite over the file's signature."""
     doc = _load(file)
-    cfg = EqConfig(depth=depth, samples=samples, seed=_seed(seed))
+    cfg = EqConfig(depth=depth, samples=samples, seed=seed)
     failed = False
     for result in run_laws(doc.sig, doc.val, cfg):
         click.echo(str(result))

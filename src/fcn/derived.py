@@ -49,13 +49,6 @@ from .cells import (
 )
 
 
-def hchain(*cells):
-    out = cells[0]
-    for c in cells[1:]:
-        out = HComp(out, c)
-    return out
-
-
 def vchain(*cells):
     out = cells[0]
     for c in cells[1:]:

@@ -15,20 +15,18 @@ external choice, `+` for internal choice, postfix `^x` and `^+` for the
 two loop forms.  Object syntax: names, `I`, `*`, `(+)`, `stack A`.  Value
 literals: `()`, atom names, `(v1, v2)`, `inl v`, `inr v`, `[v1, v2]`.
 
-Cell terms: `[f]` promotes a base morphism, `getL A`, `putR A`, `getR A`,
-`putL A` are the corner cells, `1 A` and `id U` the identities, `a | b`
-and `a / b` the two composites (`/` binds tighter), `pi0{U,W}`,
-`pi1{U,W}`, `in0{U,W}`, `in1{U,W}`, `times(a,b)`, `plus(a,b)`,
-`copair(a,b)`, `iterX(a; f; g)`, `iterP(a; f; g)`.  Convenience macros:
-`cross{U,A}`, `tensor(a,b)`, `iterXs(a)`, `iterPs(a)`, `deltaX{U}`,
-`nablaP{U}`, `epsX{U}`, `dX{U}`, `etaP{U}`, `muP{U}`,
-`sendword{A}[v1,...]`.  A bare name refers to a previously declared cell.
+Cell terms: `[f]` promotes a base morphism, `a | b` and `a / b` are the
+two composites (`/` binds tighter), and a bare name refers to a previously
+declared cell.  Every other cell former is a word in `CELL_WORDS`, every
+morphism former a word in `signature.MOR_WORDS`, and the macros that expand
+to `derived` cells are `_PROTO_MACROS`, `_CELL_MACROS`, `cross{U, A}`,
+`tensor(a, b)` and `sendword{A}[v1, ...]`.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .errors import (
     BoundaryMismatch,
@@ -461,16 +459,6 @@ class _Parser:
             left = sg.TensorM(left, self.mor_atom())
         return left
 
-    def _obj_args(self, n):
-        """n comma-separated objects in parentheses."""
-        self.s.expect("(")
-        out = [self.obj()]
-        for _ in range(n - 1):
-            self.s.expect(",")
-            out.append(self.obj())
-        self.s.expect(")")
-        return out
-
     def mor_atom(self) -> sg.MorExpr:
         s = self.s
         if s.eat("("):
@@ -478,46 +466,32 @@ class _Parser:
             s.expect(")")
             return inner
         t = s.ident("a morphism")
-        word = t.text
-        if word == "id":
-            return sg.Id(self.obj_atom())
-        if word == "braid":
-            return sg.Braid(*self._obj_args(2))
-        if word == "inj0":
-            return sg.Inj0(*self._obj_args(2))
-        if word == "inj1":
-            return sg.Inj1(*self._obj_args(2))
-        if word == "copair":
-            s.expect("(")
-            f = self.mor()
-            s.expect(",")
-            g = self.mor()
-            s.expect(")")
-            return sg.Copair(f, g)
-        if word == "distR":
-            return sg.DistR(*self._obj_args(3))
-        if word == "undistR":
-            return sg.UndistR(*self._obj_args(3))
-        if word == "distL":
-            return sg.DistL(*self._obj_args(3))
-        if word == "undistL":
-            return sg.UndistL(*self._obj_args(3))
-        if word == "nil":
-            return sg.Nil(self.obj_atom())
-        if word == "push":
-            return sg.Push(self.obj_atom())
-        if word == "pop":
-            return sg.Pop(self.obj_atom())
-        if word == "const":
-            s.expect("(")
-            obj = self.obj()
-            s.expect(",")
-            v = self.value()
-            s.expect(")")
-            return sg.ConstMor(obj, v)
-        if word in self.doc.sig.morphisms:
-            return sg.GenMor(word)
-        raise UnknownName(f"unknown morphism {word!r}", line=t.line, column=t.col)
+        if t.text in sg.MOR_WORDS:
+            return self.former(sg.MOR_WORDS[t.text])
+        if t.text in self.doc.sig.morphisms:
+            return sg.GenMor(t.text)
+        raise UnknownName(f"unknown morphism {t.text!r}", line=t.line, column=t.col)
+
+    def former(self, cls):
+        """The term of former cls, whose word was just read: its
+        arguments are read by their kinds."""
+        _, kinds, brackets = _SHAPES[cls]
+        if brackets is None:
+            return cls(getattr(self, kinds[0])())
+        return cls(*self.args(brackets, kinds))
+
+    def args(self, brackets, kinds):
+        """Arguments of the given kinds (reader names), between the open
+        and close bracket and apart by the separator of `brackets`."""
+        open_, sep, close = brackets
+        self.s.expect(open_)
+        out = []
+        for kind in kinds:
+            if out:
+                self.s.expect(sep)
+            out.append(getattr(self, kind)())
+        self.s.expect(close)
+        return out
 
     # -- cell terms ---------------------------------------------------------
 
@@ -533,38 +507,6 @@ class _Parser:
             left = VComp(left, self.cell_atom())
         return left
 
-    def _proto_pair(self):
-        self.s.expect("{")
-        u = self.proto()
-        self.s.expect(",")
-        w = self.proto()
-        self.s.expect("}")
-        return u, w
-
-    def _proto_arg(self):
-        self.s.expect("{")
-        u = self.proto()
-        self.s.expect("}")
-        return u
-
-    def _term_pair(self):
-        self.s.expect("(")
-        a = self.cell()
-        self.s.expect(",")
-        b = self.cell()
-        self.s.expect(")")
-        return a, b
-
-    def _term_triple(self):
-        self.s.expect("(")
-        a = self.cell()
-        self.s.expect(";")
-        f = self.cell()
-        self.s.expect(";")
-        g = self.cell()
-        self.s.expect(")")
-        return a, f, g
-
     def cell_atom(self) -> Cell:
         s = self.s
         if s.eat("["):
@@ -577,71 +519,18 @@ class _Parser:
             return inner
         t = s.ident("a cell term")
         word = t.text
-        if word == "getL":
-            return GetL(self.obj_atom())
-        if word == "putR":
-            return PutR(self.obj_atom())
-        if word == "getR":
-            return GetR(self.obj_atom())
-        if word == "putL":
-            return PutL(self.obj_atom())
-        if word == "1":
-            return IdV(self.obj_atom())
-        if word == "id":
-            return IdH(self.proto_atom())
-        if word == "pi0":
-            return Pi0(*self._proto_pair())
-        if word == "pi1":
-            return Pi1(*self._proto_pair())
-        if word == "in0":
-            return Inj0(*self._proto_pair())
-        if word == "in1":
-            return Inj1(*self._proto_pair())
-        if word == "times":
-            return Times(*self._term_pair())
-        if word == "plus":
-            return Plus(*self._term_pair())
-        if word == "copair":
-            return CopairC(*self._term_pair())
-        if word == "iterX":
-            return IterX(*self._term_triple())
-        if word == "iterP":
-            return IterP(*self._term_triple())
+        if word in CELL_WORDS:
+            return self.former(CELL_WORDS[word])
+        if word in _PROTO_MACROS:
+            return _PROTO_MACROS[word](*self.args("{,}", ("proto",)))
+        if word in _CELL_MACROS:
+            return _CELL_MACROS[word](*self.args("(,)", ("cell",)), self.doc.sig)
         if word == "cross":
-            s.expect("{")
-            u = self.proto()
-            s.expect(",")
-            a = self.obj()
-            s.expect("}")
-            return dv.crossing(u, a)
+            return dv.crossing(*self.args("{,}", ("proto", "obj")))
         if word == "tensor":
-            return dv.tensor_cells(*self._term_pair(), self.doc.sig)
-        if word == "iterXs":
-            s.expect("(")
-            a = self.cell()
-            s.expect(")")
-            return dv.simple_iter_x(a, self.doc.sig)
-        if word == "iterPs":
-            s.expect("(")
-            a = self.cell()
-            s.expect(")")
-            return dv.simple_iter_p(a, self.doc.sig)
-        if word == "deltaX":
-            return dv.dup_x(self._proto_arg())
-        if word == "nablaP":
-            return dv.merge_p(self._proto_arg())
-        if word == "epsX":
-            return dv.extract_x(self._proto_arg())
-        if word == "dX":
-            return dv.duplicate_x(self._proto_arg())
-        if word == "etaP":
-            return dv.insert_p(self._proto_arg())
-        if word == "muP":
-            return dv.flatten_p(self._proto_arg())
+            return dv.tensor_cells(*self.args("(,)", ("cell", "cell")), self.doc.sig)
         if word == "sendword":
-            s.expect("{")
-            a = self.obj()
-            s.expect("}")
+            (a,) = self.args("{,}", ("obj",))
             s.expect("[")
             values = []
             while not s.at("]"):
@@ -653,6 +542,69 @@ class _Parser:
         if word in self.doc.cells:
             return self.doc.cells[word].term
         raise UnknownName(f"unknown cell term {word!r}", line=t.line, column=t.col)
+
+
+# ---------------------------------------------------------------------------
+# Syntax tables.  A former is a surface word and a term class whose fields
+# are its arguments; `_Parser.former` reads them and `show_cell` and
+# `MorExpr.__str__` print them.  A lone object or protocol is an atom after
+# the word (`getL dough`, `id U`); protocols go in `{U, W}`; cells in
+# `(a, b)`, or `(a; f; g)` for three; morphism arguments in `(A, B)`.
+
+CELL_WORDS = {
+    "getL": GetL,
+    "putR": PutR,
+    "getR": GetR,
+    "putL": PutL,
+    "1": IdV,
+    "id": IdH,
+    "pi0": Pi0,
+    "pi1": Pi1,
+    "in0": Inj0,
+    "in1": Inj1,
+    "times": Times,
+    "plus": Plus,
+    "copair": CopairC,
+    "iterX": IterX,
+    "iterP": IterP,
+}
+_CELL_WORD = {cls: word for word, cls in CELL_WORDS.items()}
+
+# Macros: a word and the `derived` function its argument expands by.
+_PROTO_MACROS = {
+    "deltaX": dv.dup_x,
+    "nablaP": dv.merge_p,
+    "epsX": dv.extract_x,
+    "dX": dv.duplicate_x,
+    "etaP": dv.insert_p,
+    "muP": dv.flatten_p,
+}
+_CELL_MACROS = {"iterXs": dv.simple_iter_x, "iterPs": dv.simple_iter_p}
+
+# a field's annotation -> the `_Parser` method that reads it
+_KINDS = {
+    "ObjExpr": "obj",
+    "Protocol": "proto",
+    "Cell": "cell",
+    "MorExpr": "mor",
+    "Value": "value",
+}
+
+
+def _shape(cls):
+    """A former's field names, their kinds, and its brackets (open,
+    separator, close), which are None for a lone object or protocol: that
+    is read as an atom."""
+    names = tuple(f.name for f in fields(cls))
+    kinds = tuple(_KINDS[f.type] for f in fields(cls))
+    if kinds in (("obj",), ("proto",)):
+        return names, (kinds[0] + "_atom",), None
+    if kinds[0] == "proto":
+        return names, kinds, "{,}"
+    return names, kinds, "(;)" if kinds == ("cell",) * 3 else "(,)"
+
+
+_SHAPES = {cls: _shape(cls) for cls in (*CELL_WORDS.values(), *sg.MOR_WORDS.values())}
 
 
 # ---------------------------------------------------------------------------
@@ -691,43 +643,30 @@ def _proto_atom(p: Protocol) -> str:
 
 
 def show_cell(c: Cell) -> str:
+    word = _CELL_WORD.get(type(c))
+    if word is not None:
+        names, kinds, brackets = _SHAPES[type(c)]
+        if brackets is None:
+            return f"{word} {_SHOW[kinds[0]](getattr(c, names[0]))}"
+        open_, sep, close = brackets
+        args = [_SHOW[k](getattr(c, n)) for n, k in zip(names, kinds)]
+        return f"{word}{open_}{f'{sep} '.join(args)}{close}"
     if isinstance(c, Promote):
         return f"[{c.mor}]"
-    if isinstance(c, GetL):
-        return f"getL {_obj_atom(c.obj)}"
-    if isinstance(c, PutR):
-        return f"putR {_obj_atom(c.obj)}"
-    if isinstance(c, GetR):
-        return f"getR {_obj_atom(c.obj)}"
-    if isinstance(c, PutL):
-        return f"putL {_obj_atom(c.obj)}"
-    if isinstance(c, IdV):
-        return f"1 {_obj_atom(c.obj)}"
-    if isinstance(c, IdH):
-        return f"id {_proto_atom(c.proto)}"
     if isinstance(c, HComp):
         return f"({show_cell(c.a)} | {show_cell(c.b)})"
     if isinstance(c, VComp):
         return f"({show_cell(c.a)} / {show_cell(c.b)})"
-    if isinstance(c, Pi0):
-        return f"pi0{{{show_proto(c.left)}, {show_proto(c.right)}}}"
-    if isinstance(c, Pi1):
-        return f"pi1{{{show_proto(c.left)}, {show_proto(c.right)}}}"
-    if isinstance(c, Inj0):
-        return f"in0{{{show_proto(c.left)}, {show_proto(c.right)}}}"
-    if isinstance(c, Inj1):
-        return f"in1{{{show_proto(c.left)}, {show_proto(c.right)}}}"
-    if isinstance(c, Times):
-        return f"times({show_cell(c.a)}, {show_cell(c.b)})"
-    if isinstance(c, Plus):
-        return f"plus({show_cell(c.a)}, {show_cell(c.b)})"
-    if isinstance(c, CopairC):
-        return f"copair({show_cell(c.a)}, {show_cell(c.b)})"
-    if isinstance(c, IterX):
-        return f"iterX({show_cell(c.alpha)}; {show_cell(c.f)}; {show_cell(c.g)})"
-    if isinstance(c, IterP):
-        return f"iterP({show_cell(c.alpha)}; {show_cell(c.f)}; {show_cell(c.g)})"
     raise ValueError(f"unprintable cell {c!r}")
+
+
+# a cell former's field kind -> its printer
+_SHOW = {
+    "obj_atom": _obj_atom,
+    "proto_atom": _proto_atom,
+    "proto": show_proto,
+    "cell": show_cell,
+}
 
 
 def _check_valuation(doc: Document):

@@ -474,54 +474,59 @@ _HANDLE = _Mark("#handle")
 _TAGS = ((_Mark("L "), _Mark("R ")), (_Mark("stop "), _Mark("step ")))
 
 
-def _observe(out, pv, protos, depth, then=None):
+def _observe(out, pv, protos, depth):
     """Append to out the observation of pv over the flat factor list protos
-    at depth.  Its leaves are payloads when `then` is None, and otherwise
-    environments observed over `then`, a triple (protos, depth, then)."""
-    while not protos:
-        if then is None:
+    at depth.  The work is a stack of tokens still to append and of pending
+    observations (pv, protos, depth, then): their leaves are payloads when
+    `then` is None, and otherwise environments observed over `then`, a
+    triple (protos, depth, then)."""
+    todo = [(pv, protos, depth, None)]
+    while todo:
+        item = todo.pop()
+        if type(item) is not tuple:
+            out.append(item)
+            continue
+        pv, protos, depth, then = item
+        while not protos and then is not None:
+            protos, depth, then = then
+        if not protos:
             out.append(pv)
-            return
-        protos, depth, then = then
-    head, rest = protos[0], protos[1:]
-    if isinstance(head, SendP):
-        pv = expect(pv, PSend)
-        out += (_SEND, pv.value)
-        _observe(out, pv.rest, rest, depth, then)
-        out.append(_END_SEND)
-    elif isinstance(head, RecvP):
-        table = expect(pv, PTable).table
-        out.append(_TABLE)
-        mark = _KEY
-        for key in sorted(table, key=str):
-            out += (mark, key)
-            _observe(out, table[key], rest, depth, then)
-            mark = _NEXT_KEY
-        out.append(_END_TABLE)
-    elif isinstance(head, (ChooseP, StarXP)):
-        if isinstance(head, StarXP) and depth <= 0:
-            out.append(_HANDLE)
-            return
-        pv = expect(pv, PPair)
-        lp, rp = branches(head)
-        out.append(_PAIR)
-        _observe(out, pv.left, lp + rest, depth, then)
-        out.append(_COMMA)
-        if isinstance(head, StarXP):
-            # the body at depth, the loop beneath it at depth - 1, and what
-            # follows the loop at the depth it was split off at
-            below = (rp[-1:], depth - 1, (rest, depth, then))
-            _observe(out, pv.right, rp[:-1], depth, below)
+            continue
+        head, rest = protos[0], protos[1:]
+        if isinstance(head, SendP):
+            pv = expect(pv, PSend)
+            out += (_SEND, pv.value)
+            todo += (_END_SEND, (pv.rest, rest, depth, then))
+        elif isinstance(head, RecvP):
+            table = expect(pv, PTable).table
+            out.append(_TABLE)
+            todo.append(_END_TABLE)
+            # pushed last key first, so they come off in order of their text
+            for i, key in reversed(list(enumerate(sorted(table, key=str)))):
+                todo += ((table[key], rest, depth, then), key, _NEXT_KEY if i else _KEY)
+        elif isinstance(head, (ChooseP, StarXP)):
+            if isinstance(head, StarXP) and depth <= 0:
+                out.append(_HANDLE)
+                continue
+            pv = expect(pv, PPair)
+            lp, rp = branches(head)
+            out.append(_PAIR)
+            left = (pv.left, lp + rest, depth, then)
+            if isinstance(head, StarXP):
+                # the body at depth, the loop beneath it at depth - 1, and
+                # what follows the loop at the depth it was split off at
+                below = (rp[-1:], depth - 1, (rest, depth, then))
+                right = (pv.right, rp[:-1], depth, below)
+            else:
+                right = (pv.right, rp + rest, depth, then)
+            todo += (_END_PAIR, right, _COMMA, left)
+        elif isinstance(head, (OfferP, StarPP)):
+            pv = expect(pv, TAGGED)
+            step = isinstance(pv, PInr)
+            out.append(_TAGS[isinstance(head, StarPP)][step])
+            todo.append((pv.value, branches(head)[step] + rest, depth, then))
         else:
-            _observe(out, pv.right, rp + rest, depth, then)
-        out.append(_END_PAIR)
-    elif isinstance(head, (OfferP, StarPP)):
-        pv = expect(pv, TAGGED)
-        step = isinstance(pv, PInr)
-        out.append(_TAGS[isinstance(head, StarPP)][step])
-        _observe(out, pv.value, branches(head)[step] + rest, depth, then)
-    else:
-        raise TypeError(f"unknown protocol form {head!r}")
+            raise TypeError(f"unknown protocol form {head!r}")
 
 
 def pval_equal(p, q, protos, depth) -> bool:
@@ -539,10 +544,10 @@ def _show_payload(x) -> str:
     return str(x)
 
 
-def pval_show(pv, protos, depth=2, show=_show_payload) -> str:
+def pval_show(pv, protos, depth=2) -> str:
     """Render the observation of an environment over a flat factor list at
-    `depth`.  Payloads at the leaves are rendered with show, sent values
-    and table keys with str."""
+    `depth`.  Sent values and table keys are rendered with str, and the
+    payloads at the leaves as tuples of their parts."""
     seen = []
     _observe(seen, pv, protos, depth)
     parts, key = [], None
@@ -554,5 +559,5 @@ def pval_show(pv, protos, depth=2, show=_show_payload) -> str:
             parts += (str(t), key)
             key = None
         else:
-            parts.append(show(t))
+            parts.append(_show_payload(t))
     return "".join(parts)

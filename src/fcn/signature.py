@@ -9,7 +9,7 @@ distributors and their inverses, and the stack isomorphism).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .errors import (
     CompositionMismatch,
@@ -139,7 +139,10 @@ def tensor_obj(*parts) -> ObjExpr:
 
 @dataclass(frozen=True)
 class MorExpr:
-    pass
+    def __str__(self):
+        """A former prints as its word and its fields in parentheses."""
+        word, names = _SYNTAX[type(self)]
+        return f"{word}({', '.join([str(getattr(self, n)) for n in names])})"
 
 
 @dataclass(frozen=True)
@@ -153,9 +156,6 @@ class GenMor(MorExpr):
 @dataclass(frozen=True)
 class Id(MorExpr):
     obj: ObjExpr
-
-    def __str__(self):
-        return f"id({self.obj})"
 
 
 @dataclass(frozen=True)
@@ -181,17 +181,11 @@ class Braid(MorExpr):
     left: ObjExpr
     right: ObjExpr
 
-    def __str__(self):
-        return f"braid({self.left}, {self.right})"
-
 
 @dataclass(frozen=True)
 class Inj0(MorExpr):
     left: ObjExpr
     right: ObjExpr
-
-    def __str__(self):
-        return f"inj0({self.left}, {self.right})"
 
 
 @dataclass(frozen=True)
@@ -199,17 +193,11 @@ class Inj1(MorExpr):
     left: ObjExpr
     right: ObjExpr
 
-    def __str__(self):
-        return f"inj1({self.left}, {self.right})"
-
 
 @dataclass(frozen=True)
 class Copair(MorExpr):
     left: MorExpr
     right: MorExpr
-
-    def __str__(self):
-        return f"copair({self.left}, {self.right})"
 
 
 @dataclass(frozen=True)
@@ -219,18 +207,12 @@ class DistR(MorExpr):
     b: ObjExpr
     c: ObjExpr
 
-    def __str__(self):
-        return f"distR({self.a}, {self.b}, {self.c})"
-
 
 @dataclass(frozen=True)
 class UndistR(MorExpr):
     a: ObjExpr
     b: ObjExpr
     c: ObjExpr
-
-    def __str__(self):
-        return f"undistR({self.a}, {self.b}, {self.c})"
 
 
 @dataclass(frozen=True)
@@ -240,9 +222,6 @@ class DistL(MorExpr):
     b: ObjExpr
     c: ObjExpr
 
-    def __str__(self):
-        return f"distL({self.a}, {self.b}, {self.c})"
-
 
 @dataclass(frozen=True)
 class UndistL(MorExpr):
@@ -250,32 +229,20 @@ class UndistL(MorExpr):
     b: ObjExpr
     c: ObjExpr
 
-    def __str__(self):
-        return f"undistL({self.a}, {self.b}, {self.c})"
-
 
 @dataclass(frozen=True)
 class Nil(MorExpr):
     elem: ObjExpr
-
-    def __str__(self):
-        return f"nil({self.elem})"
 
 
 @dataclass(frozen=True)
 class Push(MorExpr):
     elem: ObjExpr
 
-    def __str__(self):
-        return f"push({self.elem})"
-
 
 @dataclass(frozen=True)
 class Pop(MorExpr):
     elem: ObjExpr
-
-    def __str__(self):
-        return f"pop({self.elem})"
 
 
 @dataclass(frozen=True)
@@ -287,10 +254,29 @@ class ConstMor(MorExpr):
     """
 
     obj: ObjExpr
-    value: "Value"
+    value: Value
 
-    def __str__(self):
-        return f"const({self.obj}, {self.value})"
+
+# The morphism formers by surface word.  `MorExpr.__str__` prints each one,
+# and the parser reads it back by its fields.
+MOR_WORDS = {
+    "id": Id,
+    "braid": Braid,
+    "inj0": Inj0,
+    "inj1": Inj1,
+    "copair": Copair,
+    "distR": DistR,
+    "undistR": UndistR,
+    "distL": DistL,
+    "undistL": UndistL,
+    "nil": Nil,
+    "push": Push,
+    "pop": Pop,
+    "const": ConstMor,
+}
+_SYNTAX = {
+    cls: (word, tuple(f.name for f in fields(cls))) for word, cls in MOR_WORDS.items()
+}
 
 
 # ---------------------------------------------------------------------------
@@ -473,30 +459,14 @@ def infer_mor_type(m: MorExpr, sig: Signature):
         if c1 != c2:
             raise CompositionMismatch(c1, c2)
         return (Sum(d1, d2), c1)
-    if isinstance(m, DistR):
+    if isinstance(m, (DistR, UndistR)):
         a, b, c = (normalize_obj(x) for x in (m.a, m.b, m.c))
-        return (
-            tensor_obj(Sum(a, b), c),
-            Sum(tensor_obj(a, c), tensor_obj(b, c)),
-        )
-    if isinstance(m, UndistR):
+        typ = (tensor_obj(Sum(a, b), c), Sum(tensor_obj(a, c), tensor_obj(b, c)))
+        return typ if isinstance(m, DistR) else typ[::-1]
+    if isinstance(m, (DistL, UndistL)):
         a, b, c = (normalize_obj(x) for x in (m.a, m.b, m.c))
-        return (
-            Sum(tensor_obj(a, c), tensor_obj(b, c)),
-            tensor_obj(Sum(a, b), c),
-        )
-    if isinstance(m, DistL):
-        a, b, c = (normalize_obj(x) for x in (m.a, m.b, m.c))
-        return (
-            tensor_obj(c, Sum(a, b)),
-            Sum(tensor_obj(c, a), tensor_obj(c, b)),
-        )
-    if isinstance(m, UndistL):
-        a, b, c = (normalize_obj(x) for x in (m.a, m.b, m.c))
-        return (
-            Sum(tensor_obj(c, a), tensor_obj(c, b)),
-            tensor_obj(c, Sum(a, b)),
-        )
+        typ = (tensor_obj(c, Sum(a, b)), Sum(tensor_obj(c, a), tensor_obj(c, b)))
+        return typ if isinstance(m, DistL) else typ[::-1]
     if isinstance(m, Nil):
         e = normalize_obj(m.elem)
         return (UNIT, Stack(e))
@@ -558,44 +528,30 @@ def eval_mor(m: MorExpr, v: Value, val: Valuation, sig: Signature) -> Value:
     if isinstance(m, DistR):
         parts = value_factors(v)
         s, c = parts[0], tensor_value(*parts[1:])
-        if isinstance(s, InlV):
-            return InlV(tensor_value(s.value, c))
-        if isinstance(s, InrV):
-            return InrV(tensor_value(s.value, c))
+        if isinstance(s, (InlV, InrV)):
+            return type(s)(tensor_value(s.value, c))
         raise IllTypedValue(f"distR applied to {v}")
     if isinstance(m, UndistR):
         c_n = _num_factors(normalize_obj(m.c))
-        if isinstance(v, InlV):
+        if isinstance(v, (InlV, InrV)):
             parts = value_factors(v.value)
             inner = tensor_value(*parts[: len(parts) - c_n])
             c = tensor_value(*parts[len(parts) - c_n :])
-            return tensor_value(InlV(inner), c)
-        if isinstance(v, InrV):
-            parts = value_factors(v.value)
-            inner = tensor_value(*parts[: len(parts) - c_n])
-            c = tensor_value(*parts[len(parts) - c_n :])
-            return tensor_value(InrV(inner), c)
+            return tensor_value(type(v)(inner), c)
         raise IllTypedValue(f"undistR applied to {v}")
     if isinstance(m, DistL):
         parts = value_factors(v)
         c, s = tensor_value(*parts[:-1]), parts[-1]
-        if isinstance(s, InlV):
-            return InlV(tensor_value(c, s.value))
-        if isinstance(s, InrV):
-            return InrV(tensor_value(c, s.value))
+        if isinstance(s, (InlV, InrV)):
+            return type(s)(tensor_value(c, s.value))
         raise IllTypedValue(f"distL applied to {v}")
     if isinstance(m, UndistL):
         c_n = _num_factors(normalize_obj(m.c))
-        if isinstance(v, InlV):
+        if isinstance(v, (InlV, InrV)):
             parts = value_factors(v.value)
             c = tensor_value(*parts[:c_n])
             inner = tensor_value(*parts[c_n:])
-            return tensor_value(c, InlV(inner))
-        if isinstance(v, InrV):
-            parts = value_factors(v.value)
-            c = tensor_value(*parts[:c_n])
-            inner = tensor_value(*parts[c_n:])
-            return tensor_value(c, InrV(inner))
+            return tensor_value(c, type(v)(inner))
         raise IllTypedValue(f"undistL applied to {v}")
     if isinstance(m, Nil):
         return ListV(())

@@ -153,10 +153,3 @@ def test_laws_skipped_when_samples_zero():
     )
     # every verdict, instance count and skip count of the whole report
     assert r.output == LAWS_SAMPLES_ZERO
-
-
-def test_laws_seed_env_override(tmp_path, monkeypatch):
-    monkeypatch.setenv("FCN_SEED", "not-a-number")
-    r = run("laws", DEMO, "--samples", "0")
-    assert r.exit_code != 0
-    assert "FCN_SEED" in r.output

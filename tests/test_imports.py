@@ -1,9 +1,13 @@
-"""Every name a module of the package imports is used in that module.
+"""Every name a module of the package imports is used in that module, and
+every name it defines is used somewhere.
 
-No linter is installed, so this walks each module's syntax tree.  A name
-counts as used when it is read anywhere in the module or listed in
-`__all__`; `from __future__` imports are compiler directives and always
-count as used.
+No linter is installed, so this walks each module's syntax tree.  An
+imported name counts as used when it is read anywhere in the module or
+listed in `__all__`; `from __future__` imports are compiler directives and
+always count as used.  A module-level name counts as used when it is read,
+read as an attribute or imported outside its own definition, in the
+package, the tests, the benchmark or the demos; a decorated def counts as
+used by its decorator.
 """
 
 import ast
@@ -11,7 +15,8 @@ import pathlib
 
 import pytest
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "fcn"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "fcn"
 
 
 def unused_imports(source: str) -> list:
@@ -50,3 +55,70 @@ def test_unused_imports_are_found():
         "    return os.sep\n"
     )
     assert unused_imports(source) == [(2, "system"), (3, "b"), (6, "e")]
+
+
+def defined_names(source: str) -> list:
+    """The module-level names a module defines, decorated defs left out."""
+    names = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            if not node.decorator_list:
+                names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [t.id for t in targets if isinstance(t, ast.Name)]
+    return [n for n in names if not n.startswith("__")]
+
+
+def referenced_names(source: str) -> set:
+    """The names a module reads, reads as attributes or imports, each
+    outside the module-level definition of that same name."""
+    found = set()
+    for top in ast.parse(source).body:
+        own = getattr(top, "name", None)
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                name = node.id
+            elif isinstance(node, ast.Attribute):
+                name = node.attr
+            elif isinstance(node, ast.alias):
+                name = node.name
+            else:
+                continue
+            if name != own:
+                found.add(name)
+    return found
+
+
+def unreferenced(defining: list, sources: list) -> list:
+    used = set().union(*(referenced_names(s) for s in sources))
+    return sorted(n for s in defining for n in defined_names(s) if n not in used)
+
+
+def test_no_unreferenced_definitions():
+    defining = [p.read_text() for p in sorted(SRC.glob("*.py"))]
+    sources = [
+        p.read_text()
+        for top in ("src", "tests", "bench", "demos")
+        for p in sorted((ROOT / top).rglob("*.py"))
+    ]
+    assert unreferenced(defining, sources) == []
+
+
+def test_unreferenced_definitions_are_found():
+    module = (
+        "import click\n"
+        "X = 1\n"
+        "Y: int = 2\n"
+        "def f(n):\n"
+        "    return f(n - 1) + X\n"
+        "def g():\n"
+        "    return Y\n"
+        "@click.command()\n"
+        "def h():\n"
+        "    pass\n"
+        "class C:\n"
+        "    pass\n"
+    )
+    user = "from m import g\nprint(m.C)\n"
+    assert unreferenced([module], [module, user]) == ["f"]

@@ -3,8 +3,9 @@ import random
 import pytest
 
 import goldens as g
+from fcn import parser
 from fcn import signature as sg
-from fcn.cells import infer_boundary
+from fcn.cells import GetL, IdV, Promote, VComp, infer_boundary
 from fcn.errors import BoundaryMismatch, ParseError, UnknownName
 from fcn.gen import gen_cell
 from fcn.parser import (
@@ -234,3 +235,74 @@ def test_round_trip_random(bakery):
         )
         d = parse_document(text)
         assert d.cells["c"].term == cell
+
+
+# One sample argument per field kind of a former.  Objects and protocols are
+# compound, so the printer's parentheses are exercised too.
+A, B = sg.GenObj("a"), sg.GenObj("b")
+SAMPLE_ARGS = {
+    "obj_atom": sg.tensor_obj(A, B),
+    "proto_atom": seq_proto(SendP(A), RecvP(B)),
+    "obj": sg.Sum(sg.Stack(A), sg.tensor_obj(A, B)),
+    "proto": StarXP(SendP(A)),
+    "cell": VComp(IdV(A), GetL(A)),
+    "mor": sg.Compose(sg.Id(A), sg.GenMor("f")),
+    "value": sg.TupleV((sg.AtomV("a0"), sg.InlV(sg.UNITV))),
+}
+
+
+def read_cell(text):
+    """A cell term, parsed but not typed, under HEADER's declarations."""
+    s = parser._Stream(parser.tokenize(text))
+    term = parser._Parser(s, doc("")).cell()
+    assert s.peek().kind == "eof"
+    return term
+
+
+def assert_round_trip(term):
+    shown = show_cell(term)
+    again = read_cell(shown)
+    assert again == term
+    assert show_cell(again) == shown
+
+
+FORMERS = [("cell", w, c) for w, c in parser.CELL_WORDS.items()] + [
+    ("mor", w, c) for w, c in sg.MOR_WORDS.items()
+]
+
+
+@pytest.mark.parametrize("table, word, cls", FORMERS, ids=[f"{t}-{w}" for t, w, _ in FORMERS])
+def test_every_former_round_trips(table, word, cls):
+    _, kinds, _ = parser._SHAPES[cls]
+    term = cls(*(SAMPLE_ARGS[k] for k in kinds))
+    if table == "mor":
+        assert str(term).startswith(f"{word}(")
+        term = Promote(term)
+    else:
+        assert show_cell(term).startswith(word)
+    assert_round_trip(term)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [f"{w}{{send a * recv b}}" for w in parser._PROTO_MACROS]
+    + [f"{w}(putR a / getR a)" for w in parser._CELL_MACROS]
+    + ["cross{(send a)^x, a * b}", "tensor(getL a, [f] / putR b)", "sendword{a}[a0, a1]"],
+)
+def test_every_macro_round_trips(text):
+    assert_round_trip(read_cell(text))
+
+
+@pytest.mark.parametrize(
+    "term, error",
+    [
+        ("pi0{send a send b}", ("ParseError", "line 8:42: expected ',', got 'send'", 8, 42)),
+        ("iterX(1 a, 1 a, 1 a)", ("ParseError", "line 8:40: expected ';', got ','", 8, 40)),
+        ("[braid(a b)]", ("ParseError", "line 8:40: expected ',', got 'b'", 8, 40)),
+        ("[const(a)]", ("ParseError", "line 8:39: expected ',', got ')'", 8, 39)),
+    ],
+)
+def test_malformed_former_errors(term, error):
+    with pytest.raises(ParseError) as e:
+        doc(f"cell k : [ I | a -> a | I ] = {term};")
+    assert (type(e.value).__name__, str(e.value), e.value.line, e.value.column) == error

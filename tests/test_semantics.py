@@ -40,6 +40,7 @@ from fcn.protocol import (
 )
 from fcn.semantics import (
     Interp,
+    PInl,
     PInr,
     PPair,
     PSend,
@@ -471,7 +472,22 @@ def test_prefix_map_keeps_its_leaves():
     pv = PSend(RYE, PSend(WHEAT, "x"))
     mapped = pval_map(pv, one + one, str.upper)
     prefix = pval_map(mapped, one, lambda inner: pval_show(inner, one))
-    assert pval_show(prefix, one, show=str) == "(ryedough, (wheatdough, X))"
+    assert pval_show(prefix, one) == "(ryedough, (wheatdough, X))"
+
+
+@pytest.mark.parametrize("layers", [1000, 5000])
+def test_deep_environments_are_observed(layers):
+    # a (!dough)^p environment of `layers` steps, shown and compared past
+    # the recursion limit; q differs from p only in its innermost send
+    protos = proto_factors(StarPP(SendP(A)))
+    p = q = PInl("end")
+    for i in range(layers):
+        p = PInr(PSend(RYE, p))
+        q = PInr(PSend(WHEAT if i == 0 else RYE, q))
+    shown = pval_show(p, protos)
+    assert shown == "step (ryedough, " * layers + "stop end" + ")" * layers
+    assert pval_equal(p, p, protos, 2)
+    assert not pval_equal(p, q, protos, 2)
 
 
 def test_stacked_maps_read_under_the_recursion_limit():
