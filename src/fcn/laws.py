@@ -1,8 +1,12 @@
 """Model-checked equality of cells and the named law suite.
 
-Every law is a builder that returns a list of checks.  A check is a pair of
-cells ``(c1, c2)``, or ``(c1, c2, cap)`` to sample at most ``cap`` inputs, or
-``(c1, ref)`` with a reference map ``ref(pv, a) -> environment`` for c2.
+Every law builds a list of checks.  A check is a pair of cells ``(c1, c2)``,
+or ``(c1, c2, cap)`` to sample at most ``cap`` inputs, or ``(c1, ref)`` with
+a reference map ``ref(pv, a) -> environment`` for c2.  Most laws are written
+as equations in the surface syntax, ``putR o | getL o = 1 o``, read once for
+each binding of their metavariables; Python builds only the checks that text
+cannot say: reference maps and the rewriter's own output.
+
 Each check runs against one batch of inputs, an environment for the left
 protocol plus a value for the top edge: all of them when the left protocol
 is loop free and the carriers involved are finite and small, otherwise a
@@ -18,42 +22,10 @@ import random
 from dataclasses import dataclass
 
 from .errors import BoundaryMismatch, NotEnumerable
-from .protocol import (
-    ChooseP,
-    DONE,
-    OfferP,
-    RecvP,
-    SendP,
-    StarPP,
-    StarXP,
-    has_loop,
-    proto_factors,
-    seq_proto,
-)
+from .protocol import has_loop, proto_factors
 from . import signature as sg
-from .cells import (
-    Cell,
-    CopairC,
-    GetL,
-    GetR,
-    HComp,
-    IdH,
-    IdV,
-    Inj0,
-    Inj1,
-    IterP,
-    IterX,
-    Pi0,
-    Pi1,
-    Plus,
-    Promote,
-    PutL,
-    PutR,
-    Times,
-    VComp,
-    boundaries_equal,
-    infer_boundary,
-)
+from .cells import Cell, boundaries_equal, infer_boundary
+from .parser import CellDecl, Document, parse_term
 from .semantics import Interp, pval_enumerate, pval_equal, pval_map
 from .rewrite import rewrite
 from . import derived as dv
@@ -197,411 +169,112 @@ def _law_result(ctx: _Ctx, law: str, checks) -> LawResult:
     return LawResult(law, "pass", ran, detail)
 
 
-# -- instance stock ---------------------------------------------------------
+# -- equations --------------------------------------------------------------
+#
+# A law written as text is a list of rows (equations, domain) or (equations,
+# domain, cap).  Each equation `cell = cell` is read in the surface syntax
+# once per binding of the row's metavariables, in the order the domain lists
+# them: a list of bindings, or a function (ctx, law) that generates one.  A
+# binding maps each metavariable to a term, or to a text read after the
+# metavariables before it.  The metavariable o is an object, U, P and Q are
+# protocols, and any other name is a cell c, whose boundary parts are bound
+# as cL, cT, cB and cR.  a and b always name two objects of the signature.
+
+_READERS = {"o": "obj", "U": "proto", "P": "proto", "Q": "proto"}
 
 
-def _loopfree_protos(ctx):
+def _bind(ctx, binding) -> Document:
+    """A document over ctx's signature whose names are the metavariables
+    of the binding."""
+    doc = Document(ctx.sig, ctx.val, aliases={"a": ctx.a, "b": ctx.b})
+    for name, term in binding.items():
+        kind = _READERS.get(name, "cell")
+        if isinstance(term, str):
+            term = parse_term(term, kind, doc)
+        if kind == "obj":
+            doc.aliases[name] = term
+        elif kind == "proto":
+            doc.protocols[name] = term
+        else:
+            bnd = infer_boundary(term, ctx.sig)
+            doc.cells[name] = CellDecl(name, bnd, term)
+            doc.protocols[name + "L"], doc.protocols[name + "R"] = bnd.left, bnd.right
+            doc.aliases[name + "T"], doc.aliases[name + "B"] = bnd.top, bnd.bottom
+    return doc
+
+
+def _eqs(*rows):
+    """The build of a law written as the given rows."""
+
+    def build(ctx, law):
+        checks = []
+        for eqs, domain, *cap in rows:
+            for binding in domain(ctx, law) if callable(domain) else domain:
+                doc = _bind(ctx, binding)
+                checks += [(*parse_term(eq, "equation", doc), *cap) for eq in eqs]
+        return checks
+
+    return build
+
+
+# -- domains ----------------------------------------------------------------
+
+_O = [{"o": "a"}, {"o": "b"}]
+_U3 = [{"U": "send a"}, {"U": "recv b"}, {"U": "send a x I"}]
+_LOOPFREE = [
+    {"U": u}
+    for u in ("send a", "recv a", "send a * recv b", "send a x recv b", "send a + I")
+]
+_LOOPS = [{"U": "(send a)^x"}, {"U": "(send a)^+"}]
+_SMALL = [{"U": "send a"}, {"U": "send a * recv b"}]
+
+_GOLDEN = [
+    "putR a", "getL a", "getR a", "putL a", "1 a", "putR a | getL a",
+    "putR a / getR b", "cross{send a, b}", "cross{send a x recv b, a}",
+]
+
+
+def _golden(ctx, law):
+    """Cells of many shapes: the text ones and two derived ones."""
     a, b = ctx.a, ctx.b
-    return [
-        SendP(a),
-        RecvP(a),
-        seq_proto(SendP(a), RecvP(b)),
-        ChooseP(SendP(a), RecvP(b)),
-        OfferP(SendP(a), DONE),
+    return [{"c": c} for c in _GOLDEN] + [
+        {"c": dv.offer_to_sum(a, b)},
+        {"c": dv.sum_to_offer(a, b)},
     ]
 
 
-def _small_protos(ctx):
-    a, b = ctx.a, ctx.b
-    return [SendP(a), seq_proto(SendP(a), RecvP(b))]
+# (f, g) for a branching cell: the same left, bottom and right, tops a and b
+_BRANCH = [
+    {"f": "[inj0(a, b)]", "g": "[inj1(a, b)]"},
+    {
+        "f": "[inj0(a, b)] / (putR (a (+) b) / getR a)",
+        "g": "[inj1(a, b)] / (putR (a (+) b) / getR a)",
+    },
+]
 
 
-def _golden_cells(ctx):
-    a, b = ctx.a, ctx.b
-    return [
-        PutR(a),
-        GetL(a),
-        GetR(a),
-        PutL(a),
-        IdV(a),
-        HComp(PutR(a), GetL(a)),
-        VComp(PutR(a), GetR(b)),
-        dv.crossing(SendP(a), b),
-        dv.crossing(ChooseP(SendP(a), RecvP(b)), a),
-        dv.offer_to_sum(a, b),
-        dv.sum_to_offer(a, b),
-    ]
-
-
-# -- corner laws ------------------------------------------------------------
-
-
-def _law_yank_send_h(ctx, law):
-    return [
-        (HComp(PutR(o), GetL(o)), IdV(o)) for o in (ctx.a, ctx.b)
-    ]
-
-
-def _law_yank_send_v(ctx, law):
-    return [
-        (VComp(GetL(o), PutR(o)), IdH(SendP(o))) for o in (ctx.a, ctx.b)
-    ]
-
-
-def _law_yank_recv_h(ctx, law):
-    return [
-        (HComp(GetR(o), PutL(o)), IdV(o)) for o in (ctx.a, ctx.b)
-    ]
-
-
-def _law_yank_recv_v(ctx, law):
-    return [
-        (VComp(GetR(o), PutL(o)), IdH(RecvP(o))) for o in (ctx.a, ctx.b)
-    ]
-
-
-# -- category and functor laws ----------------------------------------------
-
-
-def _law_unit_beside(ctx, law):
-    pairs = []
-    for c in _golden_cells(ctx):
-        b = infer_boundary(c, ctx.sig)
-        pairs.append((HComp(IdH(b.left), c), c))
-        pairs.append((HComp(c, IdH(b.right)), c))
-    return pairs
-
-
-def _law_unit_above(ctx, law):
-    pairs = []
-    for c in _golden_cells(ctx):
-        b = infer_boundary(c, ctx.sig)
-        pairs.append((VComp(IdV(b.top), c), c))
-        pairs.append((VComp(c, IdV(b.bottom)), c))
-    return pairs
-
-
-def _law_assoc_beside(ctx, law):
-    a, b = ctx.a, ctx.b
-    pairs = []
-    for c1 in (PutR(a), GetR(a), IdV(b)):
-        bnd = infer_boundary(c1, ctx.sig)
-        c2 = dv.crossing(bnd.right, b)
-        c3 = dv.crossing(bnd.right, a)
-        pairs.append(
-            (HComp(HComp(c1, c2), c3), HComp(c1, HComp(c2, c3)))
-        )
-    return pairs
-
-
-def _law_assoc_above(ctx, law):
-    a, b = ctx.a, ctx.b
-    pairs = []
-    for u in (SendP(a), RecvP(b), ChooseP(SendP(a), DONE)):
-        c1 = dv.crossing(u, a)
-        c2 = dv.crossing(OfferP(RecvP(a), DONE), a)
-        c3 = dv.crossing(RecvP(b), a)
-        pairs.append(
-            (VComp(VComp(c1, c2), c3), VComp(c1, VComp(c2, c3)))
-        )
-    return pairs
-
-
-def _law_promote_id(ctx, law):
-    return [(Promote(sg.Id(o)), IdV(o)) for o in (ctx.a, ctx.b)]
-
-
-def _law_promote_compose(ctx, law):
-    a, b = ctx.a, ctx.b
-    f = sg.Braid(a, b)
-    g = sg.Braid(b, a)
-    return [
-        (VComp(Promote(f), Promote(g)), Promote(sg.Compose(f, g))),
-        (
-            VComp(Promote(sg.Inj0(a, b)), Promote(sg.Id(sg.Sum(a, b)))),
-            Promote(sg.Compose(sg.Inj0(a, b), sg.Id(sg.Sum(a, b)))),
-        ),
-    ]
-
-
-def _law_promote_tensor(ctx, law):
-    a, b = ctx.a, ctx.b
-    return [
-        (
-            HComp(Promote(sg.Id(a)), Promote(sg.Id(b))),
-            Promote(sg.TensorM(sg.Id(a), sg.Id(b))),
-        ),
-        (
-            HComp(Promote(sg.Braid(a, b)), Promote(sg.Id(a))),
-            Promote(sg.TensorM(sg.Braid(a, b), sg.Id(a))),
-        ),
-    ]
-
-
-def _law_interchange(ctx, law):
+def _quads(ctx, law):
     rng = ctx.rng(law)
-    pairs = []
-    for _ in range(25):
-        a, b, c, d = gen_interchange_quad(rng, ctx.sig)
-        pairs.append(
-            (
-                VComp(HComp(a, c), HComp(b, d)),
-                HComp(VComp(a, b), VComp(c, d)),
-            )
-        )
-    return pairs
+    return [dict(zip("fghk", gen_interchange_quad(rng, ctx.sig))) for _ in range(25)]
 
 
-# -- choice laws ------------------------------------------------------------
-
-
-def _square_pairs(ctx):
-    """(f, g) with equal left, top, and bottom but distinct behavior."""
-    a, b = ctx.a, ctx.b
-    f1 = IdV(a)
-    g1 = dv.vchain(PutR(a), GetR(a))
-    f2 = dv.crossing(SendP(b), a)
-    g2 = VComp(f2, g1)
-    return [(f1, g1), (f2, g2)]
-
-
-def _law_choose_beta(ctx, law):
-    pairs = []
-    for f, g in _square_pairs(ctx):
-        bf = infer_boundary(f, ctx.sig)
-        bg = infer_boundary(g, ctx.sig)
-        t = Times(f, g)
-        pairs.append((HComp(t, Pi0(bf.right, bg.right)), f))
-        pairs.append((HComp(t, Pi1(bf.right, bg.right)), g))
-    return pairs
-
-
-def _cosquare_pairs(ctx):
-    """(f, g) with equal top, bottom, and right but distinct lefts."""
-    a, b = ctx.a, ctx.b
-    f1 = dv.vchain(PutR(a), GetR(a))
-    g1 = dv.crossing(seq_proto(SendP(a), RecvP(a)), a)
-    f2 = IdV(a)
-    g2 = dv.crossing(DONE, a)
-    return [(f1, g1), (f2, g2)]
-
-
-def _law_offer_beta(ctx, law):
-    pairs = []
-    for f, g in _cosquare_pairs(ctx):
-        bf = infer_boundary(f, ctx.sig)
-        bg = infer_boundary(g, ctx.sig)
-        p = Plus(f, g)
-        pairs.append((HComp(Inj0(bf.left, bg.left), p), f))
-        pairs.append((HComp(Inj1(bf.left, bg.left), p), g))
-    return pairs
-
-
-def _law_branch_beta(ctx, law):
-    a, b = ctx.a, ctx.b
-    f = Promote(sg.Inj0(a, b))
-    g = Promote(sg.Inj1(a, b))
-    c = CopairC(f, g)
-    return [
-        (VComp(Promote(sg.Inj0(a, b)), c), f),
-        (VComp(Promote(sg.Inj1(a, b)), c), g),
-    ]
-
-
-def _law_pairing_surjective(ctx, law):
-    a, b = ctx.a, ctx.b
-    pairs = []
-    hs = [
-        Times(*_square_pairs(ctx)[0]),
-        dv.crossing(ChooseP(SendP(a), RecvP(b)), a),
-    ]
-    for h in hs:
-        bh = infer_boundary(h, ctx.sig)
-        r = bh.right
-        pairs.append(
-            (
-                Times(
-                    HComp(h, Pi0(r.left, r.right)),
-                    HComp(h, Pi1(r.left, r.right)),
-                ),
-                h,
-            )
-        )
-    return pairs
-
-
-def _law_copairing_surjective(ctx, law):
-    a, b = ctx.a, ctx.b
-    pairs = []
-    hs = [
-        Plus(*_cosquare_pairs(ctx)[0]),
-        dv.crossing(OfferP(SendP(a), RecvP(b)), a),
-    ]
-    for h in hs:
-        bh = infer_boundary(h, ctx.sig)
-        l = bh.left
-        pairs.append(
-            (
-                Plus(
-                    HComp(Inj0(l.left, l.right), h),
-                    HComp(Inj1(l.left, l.right), h),
-                ),
-                h,
-            )
-        )
-    return pairs
-
-
-def _law_copair_coincide(ctx, law):
-    a, b = ctx.a, ctx.b
-    f = sg.Inj0(a, b)
-    g = sg.Inj1(a, b)
-    return [
-        (CopairC(Promote(f), Promote(g)), Promote(sg.Copair(f, g))),
-        (
-            CopairC(Promote(sg.Id(a)), Promote(sg.Id(a))),
-            Promote(sg.Copair(sg.Id(a), sg.Id(a))),
-        ),
-    ]
-
-
-def _branch_pairs(ctx):
-    """(alpha, beta) suitable for a branching cell: same left, bottom,
-    and right, with tops a and b."""
-    a, b = ctx.a, ctx.b
-    s = sg.Sum(a, b)
-    return [
-        (Promote(sg.Inj0(a, b)), Promote(sg.Inj1(a, b))),
-        (
-            VComp(Promote(sg.Inj0(a, b)), dv.vchain(PutR(s), GetR(a))),
-            VComp(Promote(sg.Inj1(a, b)), dv.vchain(PutR(s), GetR(a))),
-        ),
-    ]
-
-
-def _law_absorb_left(ctx, law):
-    a, b = ctx.a, ctx.b
-    pairs = []
-    for alpha, beta in _branch_pairs(ctx):
-        for gamma in (IdV(b), GetL(b), HComp(PutR(b), GetL(b))):
-            bg = infer_boundary(gamma, ctx.sig)
-            lhs = HComp(gamma, CopairC(alpha, beta))
-            rhs = VComp(
-                Promote(sg.DistL(a, b, bg.top)),
-                CopairC(HComp(gamma, alpha), HComp(gamma, beta)),
-            )
-            pairs.append((lhs, rhs))
-    return pairs
-
-
-def _law_absorb_right(ctx, law):
-    a, b = ctx.a, ctx.b
-    pairs = []
-    for alpha, beta in _branch_pairs(ctx):
-        seam = infer_boundary(alpha, ctx.sig).right
-        gammas = [dv.crossing(seam, b)]
-        if not proto_factors(seam):
-            gammas.append(dv.vchain(PutR(b), GetR(b)))
-        for gamma in gammas:
-            bg = infer_boundary(gamma, ctx.sig)
-            lhs = HComp(CopairC(alpha, beta), gamma)
-            rhs = VComp(
-                Promote(sg.DistR(a, b, bg.top)),
-                CopairC(HComp(alpha, gamma), HComp(beta, gamma)),
-            )
-            pairs.append((lhs, rhs))
-    return pairs
-
-
-def _law_absorb_above(ctx, law):
-    a, b = ctx.a, ctx.b
-    s = sg.Sum(a, b)
-    pairs = []
-    for alpha, beta in _branch_pairs(ctx):
-        bb = infer_boundary(alpha, ctx.sig)
-        for gamma in (IdV(bb.bottom), dv.vchain(PutR(bb.bottom), GetR(a))):
-            lhs = VComp(CopairC(alpha, beta), gamma)
-            rhs = CopairC(VComp(alpha, gamma), VComp(beta, gamma))
-            pairs.append((lhs, rhs))
-    return pairs
-
-
-def _law_moral_equiv_send(ctx, law):
-    a, b = ctx.a, ctx.b
-    fwd = dv.offer_send_forward(a, b)
-    bwd = dv.offer_send_backward(a, b)
-    return [
-        (HComp(fwd, bwd), IdH(OfferP(SendP(a), SendP(b)))),
-        (HComp(bwd, fwd), IdH(SendP(sg.Sum(a, b)))),
-    ]
-
-
-def _law_moral_equiv_recv(ctx, law):
-    a, b = ctx.a, ctx.b
-    split = dv.recv_to_pair(a, b)
-    join = dv.pair_to_recv(a, b)
-    return [
-        (HComp(split, join), IdH(RecvP(sg.Sum(a, b)))),
-        (HComp(join, split), IdH(ChooseP(RecvP(a), RecvP(b)))),
-    ]
-
-
-# -- crossing laws ----------------------------------------------------------
-
-
-def _law_crossing_tensor(ctx, law):
-    a, b = ctx.a, ctx.b
-    return [
-        (
-            dv.crossing(u, sg.Tensor((a, b))),
-            HComp(dv.crossing(u, a), dv.crossing(u, b)),
-        )
-        for u in _loopfree_protos(ctx) + [StarXP(SendP(a)), StarPP(SendP(a))]
-    ]
-
-
-def _law_crossing_unit(ctx, law):
-    return [
-        (dv.crossing(u, sg.UNIT), IdH(u))
-        for u in _loopfree_protos(ctx) + [StarXP(SendP(ctx.a))]
-    ]
-
-
-def _law_crossing_sum(ctx, law):
-    a, b = ctx.a, ctx.b
-    pairs = []
-    for u in (SendP(a), RecvP(b), ChooseP(SendP(a), DONE)):
-        lhs = dv.crossing(u, sg.Sum(a, b))
-        rhs = CopairC(
-            VComp(dv.crossing(u, a), Promote(sg.Inj0(a, b))),
-            VComp(dv.crossing(u, b), Promote(sg.Inj1(a, b))),
-        )
-        pairs.append((lhs, rhs))
-    return pairs
-
-
-def _crossing_swap_pair(ctx, alpha, c):
-    bnd = infer_boundary(alpha, ctx.sig)
-    lhs = HComp(alpha, dv.crossing(bnd.right, c))
-    rhs = VComp(
-        VComp(
-            Promote(sg.Braid(bnd.top, c)),
-            HComp(dv.crossing(bnd.left, c), alpha),
-        ),
-        Promote(sg.Braid(c, bnd.bottom)),
-    )
-    return (lhs, rhs)
-
-
-def _law_crossing_swap(ctx, law):
+def _random_cells(ctx, law):
     rng = ctx.rng(law)
-    pairs = [
-        _crossing_swap_pair(ctx, alpha, ctx.b)
-        for alpha in _golden_cells(ctx)
-    ]
-    for _ in range(10):
-        pairs.append(_crossing_swap_pair(ctx, gen_cell(rng, ctx.sig), ctx.a))
-    return pairs
+    return [{"c": gen_cell(rng, ctx.sig), "o": ctx.a} for _ in range(10)]
+
+
+def _parts(*loops):
+    """A domain that binds c, f and g to the parts of each loop, a text:
+    the equations rebuild it as iterX(c; f; g) or iterP(c; f; g)."""
+
+    def domain(ctx, law):
+        ms = [parse_term(m, "cell", _bind(ctx, {})) for m in loops]
+        return [{"c": m.alpha, "f": m.f, "g": m.g} for m in ms]
+
+    return domain
+
+
+# -- laws that text cannot say ----------------------------------------------
 
 
 def _carry_top(factors):
@@ -611,240 +284,181 @@ def _carry_top(factors):
 
 
 def _law_crossing_strength(ctx, law):
-    protos = _loopfree_protos(ctx) + [StarXP(SendP(ctx.a)), StarPP(SendP(ctx.a))]
-    return [
-        (dv.crossing(u, ctx.a), _carry_top(proto_factors(u))) for u in protos
-    ]
-
-
-# -- iteration laws ---------------------------------------------------------
-
-
-def _iterx_beta_pairs(ctx, m: IterX):
-    ba = infer_boundary(m.alpha, ctx.sig)
-    bf = infer_boundary(m.f, ctx.sig)
-    _, stop, step = dv._x_unroll(ba.right)
-    k = bf.right
-    return [
-        (HComp(m, VComp(Pi0(stop, step), IdH(k))), m.f),
-        (
-            HComp(m, VComp(Pi1(stop, step), IdH(k))),
-            HComp(m.g, VComp(m.alpha, m)),
-        ),
-    ]
-
-
-def _iterp_beta_pairs(ctx, m: IterP):
-    ba = infer_boundary(m.alpha, ctx.sig)
-    bf = infer_boundary(m.f, ctx.sig)
-    _, stop, step = dv._p_unroll(ba.left)
-    k = bf.left
-    return [
-        (HComp(VComp(Inj0(stop, step), IdH(k)), m), m.f),
-        (
-            HComp(VComp(Inj1(stop, step), IdH(k)), m),
-            HComp(VComp(m.alpha, m), m.g),
-        ),
-    ]
-
-
-def _law_loop_x_beta(ctx, law):
-    a, b = ctx.a, ctx.b
-    ms = [
-        dv.simple_iter_x(dv.crossing(SendP(a), b), ctx.sig),
-        dv.memory_cell(a),
-        dv.dup_x(SendP(a)),
-        dv.duplicate_x(SendP(a)),
-    ]
-    pairs = []
-    for m in ms:
-        pairs.extend(_iterx_beta_pairs(ctx, m))
-    return pairs
-
-
-def _law_loop_p_beta(ctx, law):
-    a, b = ctx.a, ctx.b
-    ms = [
-        dv.simple_iter_p(dv.crossing(SendP(a), b), ctx.sig),
-        dv.merge_p(SendP(a)),
-        dv.flatten_p(SendP(a)),
-    ]
-    pairs = []
-    for m in ms:
-        pairs.extend(_iterp_beta_pairs(ctx, m))
-    return pairs
-
-
-def _law_loop_x_mediate(ctx, law):
-    pairs = []
-    for u in _small_protos(ctx):
-        _, stop, step = dv._x_unroll(u)
-        for h in (
-            IdH(StarXP(u)),
-            Times(Pi0(stop, step), Pi1(stop, step)),
-        ):
-            med = IterX(
-                IdH(u),
-                HComp(h, Pi0(stop, step)),
-                HComp(h, Pi1(stop, step)),
-            )
-            lhs = HComp(
-                h,
-                Times(
-                    Pi0(stop, step),
-                    HComp(Pi1(stop, step), VComp(IdH(u), med)),
-                ),
-            )
-            pairs.append((lhs, med))
-    return pairs
-
-
-def _law_comonoid_x(ctx, law):
-    pairs = []
-    heavy = []
-    for u in _small_protos(ctx):
-        star = StarXP(u)
-        d = dv.dup_x(u)
-        e = dv.counit_x(u)
-        i = IdH(star)
-        pairs.append((HComp(d, VComp(e, i)), i))
-        pairs.append((HComp(d, VComp(i, e)), i))
-        # Coassociativity triples the loop nesting on the right boundary, so
-        # full-depth observation is costly; a few inputs cover the code paths.
-        heavy.append((HComp(d, VComp(d, i)), HComp(d, VComp(i, d)), 4))
-    return pairs + heavy
-
-
-def _law_monoid_p(ctx, law):
-    pairs = []
-    for u in _small_protos(ctx):
-        star = StarPP(u)
-        n = dv.merge_p(u)
-        e = dv.unit_p(u)
-        i = IdH(star)
-        pairs.append((HComp(VComp(e, i), n), i))
-        pairs.append((HComp(VComp(i, e), n), i))
-        pairs.append((HComp(VComp(n, i), n), HComp(VComp(i, n), n)))
-    return pairs
-
-
-def _law_comonoid_x_natural(ctx, law):
-    a, b = ctx.a, ctx.b
-    pairs = []
-    for h in (Pi0(SendP(a), RecvP(b)), dv.extract_x(SendP(a))):
-        bh = infer_boundary(h, ctx.sig)
-        hx = dv.simple_iter_x(h, ctx.sig)
-        lhs = HComp(dv.dup_x(bh.left), VComp(hx, hx))
-        rhs = HComp(hx, dv.dup_x(bh.right))
-        pairs.append((lhs, rhs))
-    return pairs
-
-
-def _law_monoid_p_natural(ctx, law):
-    a, b = ctx.a, ctx.b
-    pairs = []
-    for h in (Inj0(SendP(a), RecvP(b)), dv.insert_p(SendP(a))):
-        bh = infer_boundary(h, ctx.sig)
-        hp = dv.simple_iter_p(h, ctx.sig)
-        lhs = HComp(dv.merge_p(bh.left), hp)
-        rhs = HComp(VComp(hp, hp), dv.merge_p(bh.right))
-        pairs.append((lhs, rhs))
-    return pairs
-
-
-def _law_comonad_x(ctx, law):
-    pairs = []
-    heavy = []
-    for u in _small_protos(ctx):
-        star = StarXP(u)
-        d = dv.duplicate_x(u)
-        i = IdH(star)
-        pairs.append((HComp(d, dv.extract_x(star)), i))
-        pairs.append(
-            (HComp(d, dv.simple_iter_x(dv.extract_x(u), ctx.sig)), i)
-        )
-        heavy.append(
-            (
-                HComp(d, dv.duplicate_x(star)),
-                HComp(d, dv.simple_iter_x(dv.duplicate_x(u), ctx.sig)),
-                2,
-            )
-        )
-    # Coassociativity compares environments over a triply nested loop
-    # protocol, whose observation cost explodes with depth; a couple of
-    # inputs at full depth already exercise every code path.
-    return pairs + heavy[:1]
-
-
-def _law_monad_p(ctx, law):
-    pairs = []
-    for u in _small_protos(ctx):
-        star = StarPP(u)
-        m = dv.flatten_p(u)
-        i = IdH(star)
-        pairs.append((HComp(dv.insert_p(star), m), i))
-        pairs.append(
-            (HComp(dv.simple_iter_p(dv.insert_p(u), ctx.sig), m), i)
-        )
-        pairs.append(
-            (
-                HComp(dv.flatten_p(star), m),
-                HComp(dv.simple_iter_p(dv.flatten_p(u), ctx.sig), m),
-            )
-        )
-    return pairs
-
-
-# -- rewriter soundness -----------------------------------------------------
+    checks = []
+    for u in _LOOPFREE + _LOOPS:
+        doc = _bind(ctx, u)
+        top = _carry_top(proto_factors(doc.protocols["U"]))
+        checks.append((parse_term("cross{U, a}", "cell", doc), top))
+    return checks
 
 
 def _law_rewrite_sound(ctx, law):
     rng = ctx.rng(law)
-    cells = list(_golden_cells(ctx))
-    for _ in range(20):
-        cells.append(gen_cell(rng, ctx.sig))
+    cells = [_bind(ctx, c).cells["c"].term for c in _golden(ctx, law)]
+    cells += [gen_cell(rng, ctx.sig) for _ in range(20)]
     return [(c, rewrite(c).result) for c in cells]
 
 
+_SWAP = "c | cross{cR, o} = [braid(cT, o)] / (cross{cL, o} | c) / [braid(o, cB)]"
+
 LAWS = [
-    ("absorb-above", _law_absorb_above),
-    ("absorb-left", _law_absorb_left),
-    ("absorb-right", _law_absorb_right),
-    ("assoc-above", _law_assoc_above),
-    ("assoc-beside", _law_assoc_beside),
-    ("branch-beta", _law_branch_beta),
-    ("choose-beta", _law_choose_beta),
-    ("comonad-x", _law_comonad_x),
-    ("comonoid-x", _law_comonoid_x),
-    ("comonoid-x-natural", _law_comonoid_x_natural),
-    ("copair-coincide", _law_copair_coincide),
-    ("copairing-surjective", _law_copairing_surjective),
+    # corners
+    ("yank-send-h", _eqs((["putR o | getL o = 1 o"], _O))),
+    ("yank-send-v", _eqs((["getL o / putR o = id (send o)"], _O))),
+    ("yank-recv-h", _eqs((["getR o | putL o = 1 o"], _O))),
+    ("yank-recv-v", _eqs((["getR o / putL o = id (recv o)"], _O))),
+    # categories and functors
+    ("unit-beside", _eqs((["id cL | c = c", "c | id cR = c"], _golden))),
+    ("unit-above", _eqs((["1 cT / c = c", "c / 1 cB = c"], _golden))),
+    ("assoc-beside", _eqs((
+        ["(c | cross{cR, b}) | cross{cR, a} = c | (cross{cR, b} | cross{cR, a})"],
+        [{"c": "putR a"}, {"c": "getR a"}, {"c": "1 b"}],
+    ))),
+    ("assoc-above", _eqs((
+        ["(cross{U, a} / cross{recv a + I, a}) / cross{recv b, a}"
+         " = cross{U, a} / (cross{recv a + I, a} / cross{recv b, a})"],
+        _U3,
+    ))),
+    ("promote-id", _eqs((["[id o] = 1 o"], _O))),
+    ("promote-compose", _eqs((
+        ["[braid(a, b)] / [braid(b, a)] = [braid(a, b); braid(b, a)]",
+         "[inj0(a, b)] / [id (a (+) b)] = [inj0(a, b); id (a (+) b)]"],
+        [{}],
+    ))),
+    ("promote-tensor", _eqs((
+        ["[id a] | [id b] = [id a * id b]",
+         "[braid(a, b)] | [id a] = [braid(a, b) * id a]"],
+        [{}],
+    ))),
+    ("interchange", _eqs((["(f | h) / (g | k) = (f / g) | (h / k)"], _quads))),
+    # choice
+    ("choose-beta", _eqs((
+        ["times(f, g) | pi0{fR, gR} = f", "times(f, g) | pi1{fR, gR} = g"],
+        [{"f": "1 a", "g": "putR a / getR a"},
+         {"f": "cross{send b, a}", "g": "cross{send b, a} / (putR a / getR a)"}],
+    ))),
+    ("offer-beta", _eqs((
+        ["in0{fL, gL} | plus(f, g) = f", "in1{fL, gL} | plus(f, g) = g"],
+        [{"f": "putR a / getR a", "g": "cross{send a * recv a, a}"},
+         {"f": "1 a", "g": "cross{I, a}"}],
+    ))),
+    ("branch-beta", _eqs((
+        ["[inj0(a, b)] / copair(f, g) = f", "[inj1(a, b)] / copair(f, g) = g"],
+        _BRANCH[:1],
+    ))),
+    ("pairing-surjective", _eqs((
+        ["times(h | pi0{P, Q}, h | pi1{P, Q}) = h"],
+        [{"h": "times(1 a, putR a / getR a)", "P": "I", "Q": "send a * recv a"},
+         {"h": "cross{send a x recv b, a}", "P": "send a", "Q": "recv b"}],
+    ))),
+    ("copairing-surjective", _eqs((
+        ["plus(in0{P, Q} | h, in1{P, Q} | h) = h"],
+        [{"h": "plus(putR a / getR a, cross{send a * recv a, a})",
+          "P": "I", "Q": "send a * recv a"},
+         {"h": "cross{send a + recv b, a}", "P": "send a", "Q": "recv b"}],
+    ))),
+    ("copair-coincide", _eqs((
+        ["copair([inj0(a, b)], [inj1(a, b)]) = [copair(inj0(a, b), inj1(a, b))]",
+         "copair([id a], [id a]) = [copair(id a, id a)]"],
+        [{}],
+    ))),
+    ("absorb-left", _eqs((
+        ["h | copair(f, g) = [distL(a, b, hT)] / copair(h | f, h | g)"],
+        [{**p, "h": h} for p in _BRANCH for h in ("1 b", "getL b", "putR b | getL b")],
+    ))),
+    ("absorb-right", _eqs((
+        ["copair(f, g) | h = [distR(a, b, hT)] / copair(f | h, g | h)"],
+        [{**_BRANCH[0], "h": "cross{fR, b}"}, {**_BRANCH[0], "h": "putR b / getR b"},
+         {**_BRANCH[1], "h": "cross{fR, b}"}],
+    ))),
+    ("absorb-above", _eqs((
+        ["copair(f, g) / h = copair(f / h, g / h)"],
+        [{**p, "h": h} for p in _BRANCH for h in ("1 fB", "putR fB / getR a")],
+    ))),
+    ("moral-equiv-send", _eqs((
+        ["f | g = id (send a + send b)", "g | f = id (send (a (+) b))"],
+        lambda ctx, law: [{
+            "f": dv.offer_send_forward(ctx.a, ctx.b),
+            "g": dv.offer_send_backward(ctx.a, ctx.b),
+        }],
+    ))),
+    ("moral-equiv-recv", _eqs((
+        ["f | g = id (recv (a (+) b))", "g | f = id (recv a x recv b)"],
+        lambda ctx, law: [
+            {"f": dv.recv_to_pair(ctx.a, ctx.b), "g": dv.pair_to_recv(ctx.a, ctx.b)}
+        ],
+    ))),
+    # crossings
+    ("crossing-tensor", _eqs((
+        ["cross{U, a * b} = cross{U, a} | cross{U, b}"], _LOOPFREE + _LOOPS,
+    ))),
+    ("crossing-unit", _eqs((["cross{U, I} = id U"], _LOOPFREE + _LOOPS[:1]))),
+    ("crossing-sum", _eqs((
+        ["cross{U, a (+) b}"
+         " = copair(cross{U, a} / [inj0(a, b)], cross{U, b} / [inj1(a, b)])"],
+        _U3,
+    ))),
+    ("crossing-swap", _eqs(
+        ([_SWAP], lambda ctx, law: [{**c, "o": ctx.b} for c in _golden(ctx, law)]),
+        ([_SWAP], _random_cells),
+    )),
     ("crossing-strength", _law_crossing_strength),
-    ("crossing-sum", _law_crossing_sum),
-    ("crossing-swap", _law_crossing_swap),
-    ("crossing-tensor", _law_crossing_tensor),
-    ("crossing-unit", _law_crossing_unit),
-    ("interchange", _law_interchange),
-    ("loop-p-beta", _law_loop_p_beta),
-    ("loop-x-beta", _law_loop_x_beta),
-    ("loop-x-mediate", _law_loop_x_mediate),
-    ("monad-p", _law_monad_p),
-    ("monoid-p", _law_monoid_p),
-    ("monoid-p-natural", _law_monoid_p_natural),
-    ("moral-equiv-recv", _law_moral_equiv_recv),
-    ("moral-equiv-send", _law_moral_equiv_send),
-    ("offer-beta", _law_offer_beta),
-    ("pairing-surjective", _law_pairing_surjective),
-    ("promote-compose", _law_promote_compose),
-    ("promote-id", _law_promote_id),
-    ("promote-tensor", _law_promote_tensor),
+    # iteration
+    ("loop-x-beta", _eqs((
+        ["iterX(c; f; g) | (pi0{I, cR * cR^x} / id fR) = f",
+         "iterX(c; f; g) | (pi1{I, cR * cR^x} / id fR) = g | (c / iterX(c; f; g))"],
+        _parts(
+            "iterXs(cross{send a, b})", "iterX(putR a / getR a; 1 a; id I)",
+            "deltaX{send a}", "dX{send a}",
+        ),
+    ))),
+    ("loop-p-beta", _eqs((
+        ["(in0{I, cL * cL^+} / id fL) | iterP(c; f; g) = f",
+         "(in1{I, cL * cL^+} / id fL) | iterP(c; f; g) = (c / iterP(c; f; g)) | g"],
+        _parts("iterPs(cross{send a, b})", "nablaP{send a}", "muP{send a}"),
+    ))),
+    ("loop-x-mediate", _eqs((
+        ["h | times(pi0{I, U * U^x}, pi1{I, U * U^x} | (id U / m)) = m"],
+        [{**u, "h": h, "m": "iterX(id U; h | pi0{I, U * U^x}; h | pi1{I, U * U^x})"}
+         for u in _SMALL
+         for h in ("id (U^x)", "times(pi0{I, U * U^x}, pi1{I, U * U^x})")],
+    ))),
+    ("comonoid-x", _eqs(
+        (["deltaX{U} | (pi0{I, U * U^x} / id (U^x)) = id (U^x)",
+          "deltaX{U} | (id (U^x) / pi0{I, U * U^x}) = id (U^x)"], _SMALL),
+        # Coassociativity triples the loop nesting on the right boundary, so
+        # full-depth observation is costly; a few inputs cover the code paths.
+        (["deltaX{U} | (deltaX{U} / id (U^x)) = deltaX{U} | (id (U^x) / deltaX{U})"],
+         _SMALL, 4),
+    )),
+    ("monoid-p", _eqs((
+        ["(in0{I, U * U^+} / id (U^+)) | nablaP{U} = id (U^+)",
+         "(id (U^+) / in0{I, U * U^+}) | nablaP{U} = id (U^+)",
+         "(nablaP{U} / id (U^+)) | nablaP{U} = (id (U^+) / nablaP{U}) | nablaP{U}"],
+        _SMALL,
+    ))),
+    ("comonoid-x-natural", _eqs((
+        ["deltaX{hL} | (iterXs(h) / iterXs(h)) = iterXs(h) | deltaX{hR}"],
+        [{"h": "pi0{send a, recv b}"}, {"h": "epsX{send a}"}],
+    ))),
+    ("monoid-p-natural", _eqs((
+        ["nablaP{hL} | iterPs(h) = (iterPs(h) / iterPs(h)) | nablaP{hR}"],
+        [{"h": "in0{send a, recv b}"}, {"h": "etaP{send a}"}],
+    ))),
+    ("comonad-x", _eqs(
+        (["dX{U} | epsX{U^x} = id (U^x)", "dX{U} | iterXs(epsX{U}) = id (U^x)"],
+         _SMALL),
+        # Coassociativity compares environments over a triply nested loop
+        # protocol, whose observation cost explodes with depth; a couple of
+        # inputs at full depth already exercise every code path.
+        (["dX{U} | dX{U^x} = dX{U} | iterXs(dX{U})"], _SMALL[:1], 2),
+    )),
+    ("monad-p", _eqs((
+        ["etaP{U^+} | muP{U} = id (U^+)", "iterPs(etaP{U}) | muP{U} = id (U^+)",
+         "muP{U^+} | muP{U} = iterPs(muP{U}) | muP{U}"],
+        _SMALL,
+    ))),
     ("rewrite-sound", _law_rewrite_sound),
-    ("unit-above", _law_unit_above),
-    ("unit-beside", _law_unit_beside),
-    ("yank-recv-h", _law_yank_recv_h),
-    ("yank-recv-v", _law_yank_recv_v),
-    ("yank-send-h", _law_yank_send_h),
-    ("yank-send-v", _law_yank_send_v),
 ]
 
 

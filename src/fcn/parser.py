@@ -18,9 +18,15 @@ literals: `()`, atom names, `(v1, v2)`, `inl v`, `inr v`, `[v1, v2]`.
 Cell terms: `[f]` promotes a base morphism, `a | b` and `a / b` are the
 two composites (`/` binds tighter), and a bare name refers to a previously
 declared cell.  Every other cell former is a word in `CELL_WORDS`, every
-morphism former a word in `signature.MOR_WORDS`, and the macros that expand
-to `derived` cells are `_PROTO_MACROS`, `_CELL_MACROS`, `cross{U, A}`,
-`tensor(a, b)` and `sendword{A}[v1, ...]`.
+morphism former a word in `signature.MOR_WORDS`.  The macros expand to
+`derived` cells: `deltaX{U}`, `nablaP{U}`, `epsX{U}`, `dX{U}`, `etaP{U}`
+and `muP{U}` (`_PROTO_MACROS`), `iterXs(a)` and `iterPs(a)`
+(`_CELL_MACROS`), `cross{U, A}`, `tensor(a, b)` and `sendword{A}[v1, ...]`.
+No declaration may take one of these words, or `I`, `stack`, `send`, `recv`
+or `x`, as a name where the parser would read it as built in.
+
+`parse_term` reads one term of any kind against a document's names,
+including an equation `cell = cell`, as the law suite writes its laws.
 """
 
 from __future__ import annotations
@@ -199,12 +205,19 @@ def parse_document(text: str) -> Document:
     return doc
 
 
-def parse_value(text: str) -> sg.Value:
+def parse_term(text: str, kind: str, doc: Document = None):
+    """One term read by the `_Parser` reader `kind` ("value", "obj",
+    "proto", "cell" or "equation") against doc's names; trailing input is
+    an error."""
     s = _Stream(tokenize(text))
-    v = _Parser(s, Document()).value()
+    term = getattr(_Parser(s, doc or Document()), kind)()
     if s.peek().kind != "eof":
-        s.fail("trailing input after value")
-    return v
+        s.fail(f"trailing input after {kind}")
+    return term
+
+
+def parse_value(text: str) -> sg.Value:
+    return parse_term(text, "value")
 
 
 def parse_script(text: str):
@@ -239,12 +252,12 @@ class _Parser:
         s = self.s
         t = s.ident("a declaration")
         if t.text == "object":
-            name = s.ident("an object name").text
+            name = self.name("an object name", _OBJ_WORDS).text
             self.doc.sig.declare_object(name)
         elif t.text == "carrier":
             self.carrier_decl()
         elif t.text == "mor":
-            name = s.ident("a morphism name")
+            name = self.name("a morphism name", sg.MOR_WORDS)
             s.expect(":")
             dom = self.obj()
             s.expect("->")
@@ -267,7 +280,7 @@ class _Parser:
             s.expect("}")
             self.doc.val.mor_maps[name] = table
         elif t.text == "protocol":
-            name = s.ident("a protocol name").text
+            name = self.name("a protocol name", _PROTO_WORDS).text
             s.expect("=")
             self.doc.protocols[name] = self.proto()
         elif t.text == "cell":
@@ -278,9 +291,19 @@ class _Parser:
             )
         s.expect(";")
 
+    def name(self, what: str, words) -> Token:
+        """A declared name, which may not be one of the words that the
+        parser reads as built in where the name would be referenced."""
+        t = self.s.ident(what)
+        if t.text in words:
+            raise ParseError(
+                f"{t.text!r} is a reserved word, not {what}", line=t.line, column=t.col
+            )
+        return t
+
     def carrier_decl(self):
         s = self.s
-        name = s.ident("an object name").text
+        name = self.name("an object name", _OBJ_WORDS).text
         if name not in self.doc.sig.objects:
             self.doc.sig.declare_object(name)
         s.expect("=")
@@ -312,7 +335,7 @@ class _Parser:
 
     def cell_decl(self):
         s = self.s
-        t = s.ident("a cell name")
+        t = self.name("a cell name", _CELL_NAME_WORDS)
         name = t.text
         if name in self.doc.cells:
             raise ParseError(f"cell {name} declared again", line=t.line, column=t.col)
@@ -335,6 +358,12 @@ class _Parser:
                 f"cell {name}", str(declared), str(inferred)
             )
         self.doc.cells[name] = CellDecl(name, inferred, term)
+
+    def equation(self):
+        """`cell = cell`: the two sides of a law."""
+        lhs = self.cell()
+        self.s.expect("=")
+        return lhs, self.cell()
 
     # -- objects ------------------------------------------------------------
 
@@ -580,6 +609,14 @@ _PROTO_MACROS = {
     "muP": dv.flatten_p,
 }
 _CELL_MACROS = {"iterXs": dv.simple_iter_x, "iterPs": dv.simple_iter_p}
+
+# Words a declaration may not take as its name: where the name is used, the
+# parser reads them as built-in objects, protocols, formers or macros.
+_OBJ_WORDS = {"I", "stack"}
+_PROTO_WORDS = {"I", "send", "recv", "x"}
+_CELL_NAME_WORDS = {
+    *CELL_WORDS, *_PROTO_MACROS, *_CELL_MACROS, "cross", "tensor", "sendword"
+}
 
 # a field's annotation -> the `_Parser` method that reads it
 _KINDS = {

@@ -1,15 +1,19 @@
+import pathlib
+
 import pytest
 
 import goldens as g
 from fcn import laws
 from fcn import signature as sg
-from fcn.cells import GetR, HComp, IdH, IdV, Promote, PutR, VComp
+from fcn.cells import Cell, GetR, HComp, IdH, IdV, Promote, PutR, VComp
 from fcn.derived import simple_iter_x, vchain
 from fcn.errors import BoundaryMismatch, NotEnumerable
 from fcn.laws import EqConfig, LawResult, cells_equal, run_laws
+from fcn.parser import parse_document, parse_term, show_cell
 from fcn.protocol import SendP
 
 A = g.DOUGH
+DEMOS = pathlib.Path(__file__).resolve().parent.parent / "demos"
 
 
 def test_equal_cells(bakery):
@@ -86,3 +90,19 @@ def test_law_result_formatting():
 def test_eqconfig_defaults():
     cfg = EqConfig()
     assert cfg.depth == 4 and cfg.samples == 64 and cfg.seed == 0xFCC
+
+
+@pytest.mark.parametrize("demo", sorted(p.name for p in DEMOS.glob("*.fcn")))
+def test_every_law_side_round_trips(demo):
+    doc = parse_document((DEMOS / demo).read_text())
+    ctx = laws._Ctx(doc.sig, doc.val, EqConfig())
+    sides = [
+        side
+        for name, build in laws.LAWS
+        for check in build(ctx, name)
+        for side in check[:2]
+        if isinstance(side, Cell)
+    ]
+    assert sides
+    for side in sides:
+        assert parse_term(show_cell(side), "cell", doc) == side

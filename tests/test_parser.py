@@ -11,6 +11,7 @@ from fcn.gen import gen_cell
 from fcn.parser import (
     parse_document,
     parse_script,
+    parse_term,
     parse_value,
     show_cell,
     show_proto,
@@ -253,10 +254,7 @@ SAMPLE_ARGS = {
 
 def read_cell(text):
     """A cell term, parsed but not typed, under HEADER's declarations."""
-    s = parser._Stream(parser.tokenize(text))
-    term = parser._Parser(s, doc("")).cell()
-    assert s.peek().kind == "eof"
-    return term
+    return parse_term(text, "cell", doc(""))
 
 
 def assert_round_trip(term):
@@ -306,3 +304,41 @@ def test_malformed_former_errors(term, error):
     with pytest.raises(ParseError) as e:
         doc(f"cell k : [ I | a -> a | I ] = {term};")
     assert (type(e.value).__name__, str(e.value), e.value.line, e.value.column) == error
+
+
+# Each declaration and the words it may not take as its name, read from the
+# syntax tables, so that a new former or macro word is covered as it lands.
+RESERVED = (
+    [("object", w) for w in ("I", "stack")]
+    + [("carrier", w) for w in ("I", "stack")]
+    + [("mor", w) for w in sg.MOR_WORDS]
+    + [("protocol", w) for w in ("I", "send", "recv", "x")]
+    + [
+        ("cell", w)
+        for w in (
+            *parser.CELL_WORDS,
+            *parser._PROTO_MACROS,
+            *parser._CELL_MACROS,
+            "cross",
+            "tensor",
+            "sendword",
+        )
+    ]
+)
+DECLARATIONS = {
+    "object": "object {};",
+    "carrier": "carrier {} = {{ a0 }};",
+    "mor": "mor {} : a -> a;",
+    "protocol": "protocol {} = send a;",
+    "cell": "cell {} : [ I | a -> a | I ] = 1 a;",
+}
+
+
+@pytest.mark.parametrize(
+    "decl, word", RESERVED, ids=[f"{d}-{w}" for d, w in RESERVED]
+)
+def test_reserved_words_are_not_names(decl, word):
+    with pytest.raises(ParseError) as e:
+        doc(DECLARATIONS[decl].format(word))
+    assert (e.value.line, e.value.column) == (8, len(decl) + 2)
+    assert f"{word!r} is a reserved word" in str(e.value)
