@@ -7,10 +7,11 @@ the interactions described by its side protocols, and yields its bottom
 outputs.
 
 `infer_boundary` assigns each well-formed term its boundary or raises
-`BoundaryMismatch` / `IllTypedSubterm`.  Boundary comparisons go through
-loop-unrolling protocol equality, so a loop protocol composes directly with
-its one-step unrolling.  `boundary` is the one place a boundary is
-normalized; every other boundary part is normal already.
+`BoundaryMismatch` / `IllTypedSubterm`.  `boundary` is the one place a
+boundary is normalized; every other boundary part is normal already.  A
+normal protocol has every loop unrolling folded back into its loop, so
+boundary parts are compared with `==`, and a loop protocol still composes
+directly with its one-step unrolling.
 
 Each cell node stores its boundary on itself, with the signature it was
 inferred under, outside the dataclass fields (as `proto_factors` stores a
@@ -236,12 +237,7 @@ class IterP(Cell):
 # Boundary inference
 
 
-def _require_proto(site, expected, found):
-    if not proto_equal(expected, found):
-        raise BoundaryMismatch(site, expected, found)
-
-
-def _require_obj(site, expected, found):
+def _require(site, expected, found):
     if expected != found:
         raise BoundaryMismatch(site, expected, found)
 
@@ -267,10 +263,10 @@ def infer_boundary(c: Cell, sig: Signature) -> Boundary:
         bf = infer_boundary(c.f, sig)
         bg = infer_boundary(c.g, sig)
         g_site = "peel cell" if isinstance(c, IterX) else "collapse cell"
-        _require_obj("loop body top/bottom", ba.top, ba.bottom)
-        _require_obj("stop cell top", bf.top, ba.top)
-        _require_obj(f"{g_site} top", bg.top, UNIT)
-        _require_obj(f"{g_site} bottom", bg.bottom, UNIT)
+        _require("loop body top/bottom", ba.top, ba.bottom)
+        _require("stop cell top", bf.top, ba.top)
+        _require(f"{g_site} top", bg.top, UNIT)
+        _require(f"{g_site} bottom", bg.bottom, UNIT)
     if isinstance(c, Promote):
         dom, cod = infer_mor_type(c.mor, sig)
         b = boundary(DONE, dom, cod, DONE)
@@ -287,7 +283,7 @@ def infer_boundary(c: Cell, sig: Signature) -> Boundary:
     elif isinstance(c, IdH):
         b = boundary(c.proto, UNIT, UNIT, c.proto)
     elif isinstance(c, HComp):
-        _require_proto("horizontal seam", ba.right, bb.left)
+        _require("horizontal seam", ba.right, bb.left)
         b = boundary(
             ba.left,
             tensor_obj(ba.top, bb.top),
@@ -295,7 +291,7 @@ def infer_boundary(c: Cell, sig: Signature) -> Boundary:
             bb.right,
         )
     elif isinstance(c, VComp):
-        _require_obj("vertical seam", ba.bottom, bb.top)
+        _require("vertical seam", ba.bottom, bb.top)
         b = boundary(
             seq_proto(ba.left, bb.left),
             ba.top,
@@ -307,32 +303,32 @@ def infer_boundary(c: Cell, sig: Signature) -> Boundary:
     elif isinstance(c, Pi1):
         b = boundary(ChooseP(c.left, c.right), UNIT, UNIT, c.right)
     elif isinstance(c, Times):
-        _require_proto("times left sides", ba.left, bb.left)
-        _require_obj("times tops", ba.top, bb.top)
-        _require_obj("times bottoms", ba.bottom, bb.bottom)
+        _require("times left sides", ba.left, bb.left)
+        _require("times tops", ba.top, bb.top)
+        _require("times bottoms", ba.bottom, bb.bottom)
         b = boundary(ba.left, ba.top, ba.bottom, ChooseP(ba.right, bb.right))
     elif isinstance(c, Inj0):
         b = boundary(c.left, UNIT, UNIT, OfferP(c.left, c.right))
     elif isinstance(c, Inj1):
         b = boundary(c.right, UNIT, UNIT, OfferP(c.left, c.right))
     elif isinstance(c, Plus):
-        _require_proto("plus right sides", ba.right, bb.right)
-        _require_obj("plus tops", ba.top, bb.top)
-        _require_obj("plus bottoms", ba.bottom, bb.bottom)
+        _require("plus right sides", ba.right, bb.right)
+        _require("plus tops", ba.top, bb.top)
+        _require("plus bottoms", ba.bottom, bb.bottom)
         b = boundary(OfferP(ba.left, bb.left), ba.top, ba.bottom, ba.right)
     elif isinstance(c, CopairC):
-        _require_proto("copair left sides", ba.left, bb.left)
-        _require_proto("copair right sides", ba.right, bb.right)
-        _require_obj("copair bottoms", ba.bottom, bb.bottom)
+        _require("copair left sides", ba.left, bb.left)
+        _require("copair right sides", ba.right, bb.right)
+        _require("copair bottoms", ba.bottom, bb.bottom)
         b = boundary(ba.left, Sum(ba.top, bb.top), ba.bottom, ba.right)
     elif isinstance(c, IterX):
-        _require_proto("peel cell left", bf.left, bg.left)
-        _require_proto("peel cell right", seq_proto(ba.left, bg.left), bg.right)
+        _require("peel cell left", bf.left, bg.left)
+        _require("peel cell right", seq_proto(ba.left, bg.left), bg.right)
         right = seq_proto(StarXP(ba.right), bf.right)
         b = boundary(bf.left, ba.top, bf.bottom, right)
     elif isinstance(c, IterP):
-        _require_proto("collapse cell right", bf.right, bg.right)
-        _require_proto("collapse cell left", seq_proto(ba.right, bg.right), bg.left)
+        _require("collapse cell right", bf.right, bg.right)
+        _require("collapse cell left", seq_proto(ba.right, bg.right), bg.left)
         left = seq_proto(StarPP(ba.left), bf.left)
         b = boundary(left, ba.top, bf.bottom, bf.right)
     else:

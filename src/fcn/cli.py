@@ -105,12 +105,13 @@ def laws(file, depth, samples, seed):
     """Run the equational law suite over the file's signature."""
     doc = _load(file)
     cfg = EqConfig(depth=depth, samples=samples, seed=seed)
-    failed = False
-    for result in run_laws(doc.sig, doc.val, cfg):
+    try:
+        results = run_laws(doc.sig, doc.val, cfg)
+    except FcnError as exc:
+        raise click.ClickException(str(exc))
+    for result in results:
         click.echo(str(result))
-        if result.status == "fail":
-            failed = True
-    if failed:
+    if any(result.status == "fail" for result in results):
         sys.exit(1)
 
 

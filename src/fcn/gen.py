@@ -137,13 +137,12 @@ def rand_pval(rng: random.Random, protos, mkpayload, val: Valuation, depth=3):
 # Protocols and cells
 
 
-def rand_proto(rng: random.Random, sig: Signature, depth=2, loops=True) -> Protocol:
+def rand_proto(rng: random.Random, sig: Signature, depth=2) -> Protocol:
+    """A random loop-free protocol."""
     objs = sorted(sig.objects)
     choices = ["send", "recv", "done"]
     if depth > 0:
         choices += ["seq", "choose", "offer"]
-        if loops:
-            choices += ["starx", "starp"]
     kind = rng.choice(choices)
     if kind == "done":
         return DONE
@@ -151,16 +150,12 @@ def rand_proto(rng: random.Random, sig: Signature, depth=2, loops=True) -> Proto
         return SendP(GenObj(rng.choice(objs)))
     if kind == "recv":
         return RecvP(GenObj(rng.choice(objs)))
-    sub = lambda: rand_proto(rng, sig, depth - 1, loops)
+    sub = lambda: rand_proto(rng, sig, depth - 1)
     if kind == "seq":
         return normalize_proto(SeqP((sub(), sub())))
     if kind == "choose":
         return ChooseP(sub(), sub())
-    if kind == "offer":
-        return OfferP(sub(), sub())
-    if kind == "starx":
-        return StarXP(rand_proto(rng, sig, 0, loops))
-    return StarPP(rand_proto(rng, sig, 0, loops))
+    return OfferP(sub(), sub())
 
 
 def rand_mor(rng: random.Random, sig: Signature, dom) -> sg.MorExpr:
@@ -201,7 +196,7 @@ def _rand_base_cell(rng, sig):
         return PutL(a)
     if kind == "idv":
         return IdV(a)
-    return IdH(rand_proto(rng, sig, 1, loops=False))
+    return IdH(rand_proto(rng, sig, 1))
 
 
 def _silent_unit_cell(rng, sig):
@@ -214,7 +209,7 @@ def _silent_unit_cell(rng, sig):
     if kind == "getr-promote":
         return VComp(GetR(a), Promote(rand_mor(rng, sig, a)))
     if kind == "inj0":
-        return Inj0(DONE, rand_proto(rng, sig, 1, loops=False))
+        return Inj0(DONE, rand_proto(rng, sig, 1))
     return IdH(DONE)
 
 
@@ -259,7 +254,7 @@ def gen_cell(rng: random.Random, sig: Signature, size=3) -> Cell:
         elif kind == "copair":
             c = CopairC(c, c)
         elif kind == "inj":
-            p = rand_proto(rng, sig, 1, loops=False)
+            p = rand_proto(rng, sig, 1)
             if rng.random() < 0.5:
                 c = HComp(c, Inj0(right, p))
             else:

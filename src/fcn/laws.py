@@ -21,8 +21,8 @@ import itertools
 import random
 from dataclasses import dataclass
 
-from .errors import BoundaryMismatch, NotEnumerable
-from .protocol import has_loop, proto_factors
+from .errors import BoundaryMismatch, FcnError, NotEnumerable
+from .protocol import proto_factors
 from . import signature as sg
 from .cells import Cell, boundaries_equal, infer_boundary
 from .parser import CellDecl, Document, parse_term
@@ -66,18 +66,18 @@ def _inputs(bound, val, depth, samples, seed):
     every input when the space is small enough to enumerate, otherwise
     ``samples`` seeded random ones, or None when ``samples`` is 0."""
     left = proto_factors(bound.left)
-    if not has_loop(bound.left):
-        try:
-            pvs = list(
-                itertools.islice(
-                    pval_enumerate(left, list(_ENUM_TOKENS), val), _ENUM_CAP + 1
-                )
+    try:
+        pvs = list(
+            itertools.islice(
+                pval_enumerate(left, list(_ENUM_TOKENS), val), _ENUM_CAP + 1
             )
-            tops = list(sg.enumerate_values(bound.top, val))
-            if len(pvs) * len(tops) <= _ENUM_CAP:
-                return [(pv, a) for pv in pvs for a in tops]
-        except NotEnumerable:
-            pass
+        )
+        tops = list(sg.enumerate_values(bound.top, val))
+        if len(pvs) * len(tops) <= _ENUM_CAP:
+            return [(pv, a) for pv in pvs for a in tops]
+    except NotEnumerable:
+        # a loop factor or an infinite carrier: sample instead
+        pass
     if samples == 0:
         return None
     rng = random.Random(seed)
@@ -155,7 +155,7 @@ def _law_result(ctx: _Ctx, law: str, checks) -> LawResult:
     for i, check in enumerate(checks):
         try:
             ok = _check(ctx.sig, ctx.val, ctx.cfg, *check)
-        except BoundaryMismatch:
+        except FcnError:
             ok = False
         if ok is None:
             skipped += 1

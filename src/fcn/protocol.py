@@ -10,12 +10,13 @@ eventually).
 
 Equality of protocols is loop-unrolling equality: `StarX U` is the same
 protocol as `Choose(Done, Seq[U, StarX U])`, and `StarP U` the same as
-`Offer(Done, Seq[U, StarP U])`.  `proto_equal` decides this by bisimulation.
+`Offer(Done, Seq[U, StarP U])`.  Normal forms fold every such unrolling
+back into its loop, so `proto_equal` is `==` on normal forms.
 
 That is the only equation.  In particular a sequence does not distribute
 over a branch: `(U & W) . V` is not `(U . V) & (W . V)`, and likewise for
 `+`.  The interpreter gives both sides the same environments, but
-boundaries are compared with `proto_equal`, so identifying them would
+boundaries are compared by their normal forms, so identifying them would
 change which terms typecheck: a cell ending in `(U & W) . V` would meet a
 projection `Pi0(U . V, W . V)` that today it does not.
 
@@ -173,11 +174,12 @@ def _proto_factors(p: Protocol) -> tuple:
 
 def _fold_unroll(left, right, star):
     """Recognize one unrolling of a loop and fold it back to the loop node:
-    done & (U . U^x) becomes U^x, and done + (U . U^p) becomes U^p."""
+    done & (U . U^x) becomes U^x, and done + (U . U^p) becomes U^p, also
+    when U is done and the sequence is the loop alone."""
     if not isinstance(left, DoneP):
         return None
     parts = proto_factors(right)
-    if len(parts) < 2 or not isinstance(parts[-1], star):
+    if not parts or not isinstance(parts[-1], star):
         return None
     if _seq(parts[:-1]) == parts[-1].body:
         return parts[-1]
@@ -188,62 +190,7 @@ def seq_proto(*parts) -> Protocol:
     return normalize_proto(SeqP(tuple(parts)))
 
 
-def star_x_unfold(p: StarXP) -> Protocol:
-    """One unrolling: U^x = done & (U . U^x)."""
-    return ChooseP(DONE, seq_proto(p.body, p))
-
-
-def star_p_unfold(p: StarPP) -> Protocol:
-    """One unrolling: U^p = done + (U . U^p)."""
-    return OfferP(DONE, seq_proto(p.body, p))
-
-
 def proto_equal(p: Protocol, q: Protocol) -> bool:
-    """Loop-unrolling equality, decided by bisimulation on regular trees."""
-    return _bisim(normalize_proto(p), normalize_proto(q), set())
-
-
-def _bisim(p, q, seen):
-    if p == q:
-        return True
-    key = (p, q)
-    if key in seen:
-        return True
-    # one seen-set for the whole call: results combine only by `and`, so a
-    # pair assumed equal here that turns out unequal fails the whole call
-    seen.add(key)
-    # unroll a loop when the other side has branch (or different loop) shape
-    if isinstance(p, StarXP) and not (isinstance(q, StarXP)):
-        return _bisim(star_x_unfold(p), q, seen)
-    if isinstance(q, StarXP) and not (isinstance(p, StarXP)):
-        return _bisim(p, star_x_unfold(q), seen)
-    if isinstance(p, StarPP) and not (isinstance(q, StarPP)):
-        return _bisim(star_p_unfold(p), q, seen)
-    if isinstance(q, StarPP) and not (isinstance(p, StarPP)):
-        return _bisim(p, star_p_unfold(q), seen)
-    if isinstance(p, SeqP) and isinstance(q, SeqP):
-        # normalization fixes factor counts: unrolling happens inside atoms
-        if len(p.parts) != len(q.parts):
-            return False
-        return all(_bisim(a, b, seen) for a, b in zip(p.parts, q.parts))
-    if isinstance(p, SeqP) != isinstance(q, SeqP):
-        return False
-    if isinstance(p, ChooseP) and isinstance(q, ChooseP):
-        return _bisim(p.left, q.left, seen) and _bisim(p.right, q.right, seen)
-    if isinstance(p, OfferP) and isinstance(q, OfferP):
-        return _bisim(p.left, q.left, seen) and _bisim(p.right, q.right, seen)
-    if isinstance(p, StarXP) and isinstance(q, StarXP):
-        return _bisim(p.body, q.body, seen)
-    if isinstance(p, StarPP) and isinstance(q, StarPP):
-        return _bisim(p.body, q.body, seen)
-    return False
-
-
-def has_loop(p: Protocol) -> bool:
-    if isinstance(p, (StarXP, StarPP)):
-        return True
-    if isinstance(p, SeqP):
-        return any(has_loop(x) for x in p.parts)
-    if isinstance(p, (ChooseP, OfferP)):
-        return has_loop(p.left) or has_loop(p.right)
-    return False
+    """Loop-unrolling equality: normal forms fold every unrolling, so two
+    protocols are equal exactly when their normal forms are."""
+    return normalize_proto(p) == normalize_proto(q)

@@ -422,6 +422,10 @@ def pval_enumerate(protos, payloads, val: Valuation):
         yield from payloads
         return
     head, rest = protos[0], protos[1:]
+    if isinstance(head, (StarXP, StarPP)):
+        # a loop has no finite set of environments: refuse it before the
+        # factors after it are enumerated
+        raise NotEnumerable(f"cannot enumerate environments of {head}")
     if rest:
         inner = list(pval_enumerate(rest, payloads, val))
         yield from pval_enumerate((head,), inner, val)
@@ -436,7 +440,6 @@ def pval_enumerate(protos, payloads, val: Valuation):
         for combo in itertools.product(payloads, repeat=len(keys)):
             yield PTable(dict(zip(keys, combo)))
         return
-    # a loop has no finite set of environments: it falls through to the raise
     if isinstance(head, ChooseP):
         lp, rp = branches(head)
         lefts = list(pval_enumerate(lp, payloads, val))
@@ -452,7 +455,7 @@ def pval_enumerate(protos, payloads, val: Valuation):
         for r in pval_enumerate(rp, payloads, val):
             yield PInr(r)
         return
-    raise NotEnumerable(f"cannot enumerate environments of {head}")
+    raise TypeError(f"unknown protocol form {head!r}")
 
 
 class _Mark:

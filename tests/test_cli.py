@@ -142,6 +142,15 @@ yank-send-v                        pass     2 instances
 """
 
 
+def test_laws_without_objects_is_an_error(tmp_path):
+    doc = tmp_path / "comment.fcn"
+    doc.write_text("# nothing declared\n")
+    r = run("laws", str(doc))
+    assert r.exit_code == 1
+    assert r.output == "Error: the law suite needs at least one object\n"
+    assert isinstance(r.exception, SystemExit)
+
+
 def test_laws_skipped_when_samples_zero():
     r = run("laws", DEMO, "--samples", "0")
     assert r.exit_code == 0

@@ -1,5 +1,6 @@
-"""Every name a module of the package imports is used in that module, and
-every name it defines is used somewhere.
+"""Every name a module of the package imports is used in that module,
+every name it defines is used somewhere, and every name the benchmark and
+the demos import from the package exists.
 
 No linter is installed, so this walks each module's syntax tree.  An
 imported name counts as used when it is read anywhere in the module or
@@ -11,6 +12,7 @@ used by its decorator.
 """
 
 import ast
+import importlib
 import pathlib
 
 import pytest
@@ -122,3 +124,51 @@ def test_unreferenced_definitions_are_found():
     )
     user = "from m import g\nprint(m.C)\n"
     assert unreferenced([module], [module, user]) == ["f"]
+
+
+def unresolved_fcn_imports(source: str) -> list:
+    """The `fcn` modules and names a source imports that do not exist."""
+    missing = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            wanted = [(a.name, None) for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            wanted = [(node.module, a.name) for a in node.names]
+        else:
+            continue
+        for module, name in wanted:
+            if module != "fcn" and not module.startswith("fcn."):
+                continue
+            try:
+                found = importlib.import_module(module)
+            except ImportError:
+                missing.append(module)
+                continue
+            if name is None or hasattr(found, name):
+                continue
+            try:
+                importlib.import_module(f"{module}.{name}")
+            except ImportError:
+                missing.append(f"{module}.{name}")
+    return missing
+
+
+@pytest.mark.parametrize(
+    "path",
+    sorted([*(ROOT / "bench").glob("*.py"), *(ROOT / "demos").glob("*.py")]),
+    ids=lambda p: f"{p.parent.name}/{p.name}",
+)
+def test_bench_and_demo_imports_resolve(path):
+    assert unresolved_fcn_imports(path.read_text()) == []
+
+
+def test_unresolved_imports_are_found():
+    source = (
+        "import os, fcn.nowhere\n"
+        "from fcn import signature, no_such_module\n"
+        "from fcn.protocol import proto_equal, star_x_unfold\n"
+        "from .local import anything\n"
+    )
+    assert unresolved_fcn_imports(source) == [
+        "fcn.nowhere", "fcn.no_such_module", "fcn.protocol.star_x_unfold"
+    ]

@@ -7,7 +7,7 @@ from fcn import laws
 from fcn import signature as sg
 from fcn.cells import Cell, GetR, HComp, IdH, IdV, Promote, PutR, VComp
 from fcn.derived import simple_iter_x, vchain
-from fcn.errors import BoundaryMismatch, NotEnumerable
+from fcn.errors import BoundaryMismatch, IllTypedValue, NotEnumerable
 from fcn.laws import EqConfig, LawResult, cells_equal, run_laws
 from fcn.parser import parse_document, parse_term, show_cell
 from fcn.protocol import SendP
@@ -72,6 +72,23 @@ def test_failing_law_names_its_instance(bakery, monkeypatch):
     [row] = run_laws(sig, val, names=[name])
     assert (row.status, row.instances, row.detail) == ("fail", 1, "instance 1")
     assert str(row).endswith("fail     1 instance  (instance 1)")
+
+
+def test_raising_check_fails_its_law_only(bakery, monkeypatch):
+    sig, val = bakery
+    (first, _), (second, _) = laws.LAWS[:2]
+
+    def ill_typed(pv, a):
+        raise IllTypedValue("no such environment")
+
+    def build(ctx, law):
+        return [(HComp(PutR(A), g.GetL(A)), IdV(A)), (IdV(A), ill_typed)]
+
+    monkeypatch.setattr(laws, "LAWS", [(first, build)] + laws.LAWS[1:])
+    rows = run_laws(sig, val, names=[first, second])
+    assert [r.law for r in rows] == [first, second]
+    assert (rows[0].status, rows[0].detail) == ("fail", "instance 1")
+    assert rows[1].status == "pass" and rows[1].instances > 0
 
 
 def test_sampling_deterministic(bakery):

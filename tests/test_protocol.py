@@ -16,13 +16,10 @@ from fcn.protocol import (
     SeqP,
     StarPP,
     StarXP,
-    has_loop,
     normalize_proto,
     proto_equal,
     proto_factors,
     seq_proto,
-    star_p_unfold,
-    star_x_unfold,
 )
 from fcn.semantics import pval_enumerate, pval_show
 
@@ -80,9 +77,9 @@ def test_seq_flattens():
 
 def test_star_unfold_equal():
     star = StarXP(SEND_A)
-    assert proto_equal(star, star_x_unfold(star))
+    assert proto_equal(star, ChooseP(DONE, SeqP((SEND_A, star))))
     plus = StarPP(SEND_A)
-    assert proto_equal(plus, star_p_unfold(plus))
+    assert proto_equal(plus, OfferP(DONE, SeqP((SEND_A, plus))))
     assert not proto_equal(star, plus)
     assert not proto_equal(star, StarXP(RecvP(A)))
 
@@ -102,16 +99,42 @@ def test_unroll_folds_back():
 def test_nested_star_unfold_equal():
     inner = StarXP(SEND_A)
     outer = StarXP(inner)
-    assert proto_equal(outer, star_x_unfold(outer))
-    assert proto_equal(
-        star_x_unfold(outer), ChooseP(DONE, seq_proto(inner, outer))
-    )
+    unrolled = ChooseP(DONE, SeqP((inner, outer)))
+    assert proto_equal(outer, unrolled)
+    assert proto_equal(unrolled, ChooseP(DONE, seq_proto(inner, outer)))
 
 
-def test_has_loop():
-    assert not has_loop(seq_proto(SEND_A, RECV_B))
-    assert has_loop(StarXP(SEND_A))
-    assert has_loop(ChooseP(DONE, StarPP(SEND_A)))
+def test_unroll_of_a_done_loop_folds_back():
+    # I x I^x is I^x, and I + I^p is I^p
+    for star, branch in ((StarXP, ChooseP), (StarPP, OfferP)):
+        loop = star(DONE)
+        assert normalize_proto(branch(DONE, SeqP((DONE, loop)))) == loop
+        assert normalize_proto(branch(DONE, loop)) == loop
+
+
+def unroll_some(p, rnd):
+    """p with each loop, at random, replaced by its one-step unrolling
+    U^x = done & (U . U^x) or U^p = done + (U . U^p), built raw."""
+    if isinstance(p, SeqP):
+        return SeqP(tuple(unroll_some(x, rnd) for x in p.parts))
+    if isinstance(p, (ChooseP, OfferP)):
+        return type(p)(unroll_some(p.left, rnd), unroll_some(p.right, rnd))
+    if isinstance(p, (StarXP, StarPP)):
+        loop = type(p)(unroll_some(p.body, rnd))
+        if rnd.random() < 0.5:
+            return loop
+        branch = ChooseP if isinstance(p, StarXP) else OfferP
+        return branch(DONE, SeqP((unroll_some(p.body, rnd), loop)))
+    return p
+
+
+@given(protos, st.randoms(use_true_random=False), st.integers(1, 3))
+def test_unrolling_keeps_the_normal_form(p, rnd, rounds):
+    q = p
+    for _ in range(rounds):
+        q = unroll_some(q, rnd)
+    assert normalize_proto(q) == normalize_proto(p)
+    assert proto_equal(p, q)
 
 
 def test_proto_equal_distinguishes_choice_sides():

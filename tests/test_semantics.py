@@ -9,6 +9,7 @@ import pytest
 import goldens as g
 from fcn import cells
 from fcn import derived as dv
+from fcn import semantics
 from fcn import signature as sg
 from fcn.cells import (
     Cell,
@@ -25,7 +26,7 @@ from fcn.cells import (
     boundary,
     infer_boundary,
 )
-from fcn.errors import IllTypedValue, InfiniteRecvCarrier
+from fcn.errors import IllTypedValue, InfiniteRecvCarrier, NotEnumerable
 from fcn.gen import gen_cell, rand_pval, rand_value
 from fcn.parser import parse_document
 from fcn.protocol import (
@@ -114,6 +115,20 @@ def test_pval_enumerate_counts(bakery):
 def test_pval_enumerate_done(bakery):
     _, val = bakery
     assert list(pval_enumerate((), [RYE, WHEAT], val)) == [RYE, WHEAT]
+
+
+def test_pval_enumerate_refuses_a_loop_first(bakery, monkeypatch):
+    # the factors after a loop are never enumerated: with a large carrier
+    # that would cost 2^|carrier| receive tables before the refusal
+    _, val = bakery
+
+    def enumerated(obj, val):
+        raise AssertionError(f"{obj} enumerated after a loop")
+
+    monkeypatch.setattr(semantics, "enumerate_values", enumerated)
+    protos = proto_factors(seq_proto(StarPP(SendP(A)), RecvP(A)))
+    with pytest.raises(NotEnumerable):
+        list(pval_enumerate(protos, [RYE], val))
 
 
 def test_pval_equal_depth_cutoff(interp):
