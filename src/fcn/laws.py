@@ -26,7 +26,7 @@ from .protocol import proto_factors
 from . import signature as sg
 from .cells import Cell, boundaries_equal, infer_boundary
 from .parser import CellDecl, Document, parse_term
-from .semantics import Interp, pval_enumerate, pval_equal, pval_map
+from .semantics import _ENUM_CAP, Interp, pval_enumerate, pval_equal, pval_map
 from .rewrite import rewrite
 from . import derived as dv
 from .gen import gen_cell, gen_interchange_quad, rand_pval, rand_value
@@ -35,7 +35,6 @@ DEFAULT_DEPTH = 4
 DEFAULT_SAMPLES = 64
 DEFAULT_SEED = 0xFCC
 
-_ENUM_CAP = 4096
 _ENUM_TOKENS = ("x0", "x1")
 
 

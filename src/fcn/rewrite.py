@@ -3,9 +3,17 @@
 The rules orient the cell equations left to right: the four snap rules
 that cancel a transmission against its matching corner, functoriality of
 promoted morphisms, the beta rules for choice and loop combinators, unit
-removal, and reassociation of composites into left-nested form.  The
-strategy is leftmost-innermost with a step budget; every rule preserves
-both the boundary and the denotation.
+removal, and reassociation of composites into left-nested form.  Every rule
+preserves both the boundary and the denotation.
+
+The strategy is leftmost-innermost with a step budget, in one bottom-up
+pass: the children left to right, then the node, and each step's result
+again at the same position, which finds redexes in the order a search from
+the root does.  When the budget is spent, the next redex found marks the
+report exhausted and the walk stops.  The nodes found normal sit in a dict
+from id to node that lives for one call, so no subterm a step carries over
+is searched twice.  Nothing is stored on the terms: a second `rewrite` of a
+normal form searches it once more, in linear time, and so sees it is normal.
 
 Adjacent-pair rules also match across an association boundary: in
 ((x | y) | z) the pair (y, z) is checked, so left-nesting never hides a
@@ -14,7 +22,7 @@ redex of the flat composition chain.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .protocol import RecvP, SendP, proto_factors
 from . import signature as sg
@@ -52,9 +60,7 @@ class RewriteReport:
 def _is_unit_cell(c):
     if isinstance(c, IdH):
         return not proto_factors(c.proto)
-    if isinstance(c, IdV):
-        return not sg.obj_factors(c.obj)
-    return False
+    return isinstance(c, IdV) and not sg.obj_factors(c.obj)
 
 
 def _match_stop_arm(cell, which):
@@ -62,32 +68,21 @@ def _match_stop_arm(cell, which):
 
     A loop projection or injection always branches between done and one
     more round, so the first protocol argument must be done."""
-    if isinstance(cell, which):
-        return not proto_factors(cell.left)
-    if (
-        isinstance(cell, VComp)
-        and isinstance(cell.a, which)
-        and isinstance(cell.b, IdH)
-    ):
-        return not proto_factors(cell.a.left)
-    return False
+    if isinstance(cell, VComp) and isinstance(cell.b, IdH):
+        cell = cell.a
+    return isinstance(cell, which) and not proto_factors(cell.left)
 
 
-def _right_closed(c):
-    """Syntactic check that a cell's right protocol is done."""
-    if isinstance(c, (Promote, IdV, GetL, PutL)):
+# The cells whose protocol on one side is done, whatever their arguments.
+_DONE = {"right": (Promote, IdV, GetL, PutL), "left": (Promote, IdV, PutR, GetR)}
+
+
+def _closed(c, side):
+    """Syntactic check that a cell's protocol on `side` is done."""
+    if isinstance(c, _DONE[side]):
         return True
     if isinstance(c, (HComp, VComp, CopairC)):
-        return _right_closed(c.a) and _right_closed(c.b)
-    return False
-
-
-def _left_closed(c):
-    """Syntactic check that a cell's left protocol is done."""
-    if isinstance(c, (Promote, IdV, PutR, GetR)):
-        return True
-    if isinstance(c, (HComp, VComp, CopairC)):
-        return _left_closed(c.a) and _left_closed(c.b)
+        return _closed(c.a, side) and _closed(c.b, side)
     return False
 
 
@@ -101,7 +96,7 @@ def _snap_send_around(a, b):
     x = put = None
     if isinstance(a, PutR):
         put = a
-    elif isinstance(a, VComp) and isinstance(a.b, PutR) and _right_closed(a.a):
+    elif isinstance(a, VComp) and isinstance(a.b, PutR) and _closed(a.a, "right"):
         x, put = a.a, a.b
     if put is None:
         return None
@@ -110,14 +105,14 @@ def _snap_send_around(a, b):
         get = b
     elif isinstance(b, VComp):
         head, rest = b.a, b.b
-        if not _left_closed(rest):
+        if not _closed(rest, "left"):
             return None
         if isinstance(head, GetL):
             get = head
         elif (
             isinstance(head, HComp)
             and isinstance(head.a, GetL)
-            and _left_closed(head.b)
+            and _closed(head.b, "left")
         ):
             get, spectator = head.a, head.b
     if get is None or put.obj != get.obj:
@@ -196,71 +191,64 @@ def _pair_v(a, b):
     return None
 
 
+# a composite's class -> its adjacent-pair rules and its reassociation
+_COMPOSITES = {HComp: (_pair_h, "assoc-beside"), VComp: (_pair_v, "assoc-above")}
+
+
 def _rewrite_here(c):
-    if isinstance(c, HComp):
-        hit = _pair_h(c.a, c.b)
+    cls = type(c)
+    if cls in _COMPOSITES:
+        pair, assoc = _COMPOSITES[cls]
+        hit = pair(c.a, c.b)
         if hit:
             return hit
-        if isinstance(c.a, HComp):
-            inner = _pair_h(c.a.b, c.b)
+        if isinstance(c.a, cls):
+            inner = pair(c.a.b, c.b)
             if inner:
-                return (HComp(c.a.a, inner[0]), inner[1])
-        if isinstance(c.b, HComp):
-            return (HComp(HComp(c.a, c.b.a), c.b.b), "assoc-beside")
-        return None
-    if isinstance(c, VComp):
-        hit = _pair_v(c.a, c.b)
-        if hit:
-            return hit
-        if isinstance(c.a, VComp):
-            inner = _pair_v(c.a.b, c.b)
-            if inner:
-                return (VComp(c.a.a, inner[0]), inner[1])
-        if isinstance(c.b, VComp):
-            return (VComp(VComp(c.a, c.b.a), c.b.b), "assoc-above")
+                return (cls(c.a.a, inner[0]), inner[1])
+        if isinstance(c.b, cls):
+            return (cls(cls(c.a, c.b.a), c.b.b), assoc)
         return None
     if isinstance(c, Promote) and isinstance(c.mor, sg.Id):
         return (IdV(c.mor.obj), "promote-id")
     return None
 
 
+# each cell former -> the names of its fields that hold cells, in order
 _CHILDREN = {
-    HComp: ("a", "b"),
-    VComp: ("a", "b"),
-    Times: ("a", "b"),
-    Plus: ("a", "b"),
-    CopairC: ("a", "b"),
-    IterX: ("alpha", "f", "g"),
-    IterP: ("alpha", "f", "g"),
+    cls: tuple(f.name for f in fields(cls) if f.type == "Cell")
+    for cls in Cell.__subclasses__()
 }
-
-
-def rewrite_step(c: Cell):
-    """One leftmost-innermost step. Returns (new, rule, path) or None."""
-    names = _CHILDREN.get(type(c))
-    if names:
-        for name in names:
-            hit = rewrite_step(getattr(c, name))
-            if hit:
-                parts = [
-                    hit[0] if n == name else getattr(c, n) for n in names
-                ]
-                return (type(c)(*parts), hit[1], (name,) + hit[2])
-    here = _rewrite_here(c)
-    if here:
-        return (here[0], here[1], ())
-    return None
 
 
 def rewrite(c: Cell, budget: int = 10000) -> RewriteReport:
     """Rewrite c to normal form, or until the step budget runs out."""
-    trace = []
-    steps = 0
-    while steps < budget:
-        hit = rewrite_step(c)
-        if hit is None:
-            return RewriteReport(c, steps, False, trace)
-        c = hit[0]
-        trace.append((hit[1], ".".join(hit[2]) or "root"))
-        steps += 1
-    return RewriteReport(c, steps, rewrite_step(c) is not None, trace)
+    report = RewriteReport(c, 0, False)
+    normal = {}  # id(node) -> node found normal; holding it keeps the id unused
+    path = []  # the field names from the root down to the node in hand
+
+    def norm(c):
+        while id(c) not in normal and not report.budget_exhausted:
+            names = _CHILDREN.get(type(c), ())
+            parts = []
+            for name in names:  # a comprehension would add a frame per level
+                path.append(name)
+                parts.append(norm(getattr(c, name)))
+                path.pop()
+            if any(p is not getattr(c, n) for p, n in zip(parts, names)):
+                c = type(c)(*parts)
+            if report.budget_exhausted:
+                break
+            hit = _rewrite_here(c)
+            if hit is None:
+                normal[id(c)] = c
+            elif report.steps >= budget:
+                report.budget_exhausted = True
+            else:
+                c = hit[0]
+                report.trace.append((hit[1], ".".join(path) or "root"))
+                report.steps += 1
+        return c
+
+    report.result = norm(c)
+    return report

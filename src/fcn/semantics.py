@@ -414,10 +414,13 @@ def _map_unit(pv, proto, k):
 # ---------------------------------------------------------------------------
 # Environment enumeration, observation, and printing
 
+_ENUM_CAP = 4096  # more inputs than this are sampled, not enumerated
+
 
 def pval_enumerate(protos, payloads, val: Valuation):
     """All environments over a flat, loop-free protocol factor list, with
-    leaf payloads drawn from the given list."""
+    leaf payloads drawn from the given list.  A list kept on the way stops
+    at _ENUM_CAP + 1 entries, which already put the total over the cap."""
     if not protos:
         yield from payloads
         return
@@ -427,8 +430,8 @@ def pval_enumerate(protos, payloads, val: Valuation):
         # factors after it are enumerated
         raise NotEnumerable(f"cannot enumerate environments of {head}")
     if rest:
-        inner = list(pval_enumerate(rest, payloads, val))
-        yield from pval_enumerate((head,), inner, val)
+        inner = itertools.islice(pval_enumerate(rest, payloads, val), _ENUM_CAP + 1)
+        yield from pval_enumerate((head,), list(inner), val)
         return
     if isinstance(head, SendP):
         for v in enumerate_values(head.obj, val):
@@ -441,9 +444,10 @@ def pval_enumerate(protos, payloads, val: Valuation):
             yield PTable(dict(zip(keys, combo)))
         return
     if isinstance(head, ChooseP):
-        lp, rp = branches(head)
-        lefts = list(pval_enumerate(lp, payloads, val))
-        rights = list(pval_enumerate(rp, payloads, val))
+        lefts, rights = (
+            list(itertools.islice(pval_enumerate(p, payloads, val), _ENUM_CAP + 1))
+            for p in branches(head)
+        )
         for l in lefts:
             for r in rights:
                 yield PPair(l, r)

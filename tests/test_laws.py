@@ -4,13 +4,14 @@ import pytest
 
 import goldens as g
 from fcn import laws
+from fcn import semantics
 from fcn import signature as sg
-from fcn.cells import Cell, GetR, HComp, IdH, IdV, Promote, PutR, VComp
+from fcn.cells import Cell, GetR, HComp, IdH, IdV, Promote, PutR, VComp, boundary
 from fcn.derived import simple_iter_x, vchain
 from fcn.errors import BoundaryMismatch, IllTypedValue, NotEnumerable
 from fcn.laws import EqConfig, LawResult, cells_equal, run_laws
 from fcn.parser import parse_document, parse_term, show_cell
-from fcn.protocol import SendP
+from fcn.protocol import DONE, ChooseP, RecvP, SendP, StarXP, seq_proto
 
 A = g.DOUGH
 DEMOS = pathlib.Path(__file__).resolve().parent.parent / "demos"
@@ -89,6 +90,30 @@ def test_raising_check_fails_its_law_only(bakery, monkeypatch):
     assert [r.law for r in rows] == [first, second]
     assert (rows[0].status, rows[0].detail) == ("fail", "instance 1")
     assert rows[1].status == "pass" and rows[1].instances > 0
+
+
+BIG = sg.GenObj("big")
+BIG_LEFTS = {
+    "!a . ?b": seq_proto(SendP(A), RecvP(BIG)),
+    "(!a & !a^x) . ?b": seq_proto(ChooseP(SendP(A), StarXP(SendP(A))), RecvP(BIG)),
+}
+
+
+@pytest.mark.parametrize("left", BIG_LEFTS.values(), ids=BIG_LEFTS)
+def test_inputs_enumerate_no_further_than_the_cap(left, monkeypatch):
+    # 2^18 receive tables over an 18-value b: too many, so inputs are sampled
+    _, val = g.bakery_signature()
+    val.carriers["big"] = tuple(f"b{i}" for i in range(18))
+    tables, table = [0], semantics.PTable
+
+    def counted(entries):
+        tables[0] += 1
+        return table(entries)
+
+    monkeypatch.setattr(semantics, "PTable", counted)
+    inputs = laws._inputs(boundary(left, sg.UNIT, sg.UNIT, DONE), val, 4, 64, 0)
+    assert len(inputs) == 64
+    assert tables[0] <= laws._ENUM_CAP + 1
 
 
 def test_sampling_deterministic(bakery):
