@@ -28,6 +28,7 @@ from fcn import (
     infer_boundary,
     rewrite,
     run_trace,
+    show_cell,
 )
 from fcn import signature as sg
 
@@ -78,7 +79,7 @@ def main():
 
     report = rewrite(bakery)
     print("The rewriter fuses the pair into one silent morphism:")
-    print(" ", report.result)
+    print(" ", show_cell(report.result))
     for rule, path in report.trace:
         print(f"  via {rule} at {path}")
     fused = report.result

@@ -99,28 +99,28 @@ class Promote(Cell):
 
 @dataclass(frozen=True)
 class GetL(Cell):
-    """Receive an A from the left participant: left !A, output A."""
+    """Receive an A from the left participant: left send A, output A."""
 
     obj: ObjExpr
 
 
 @dataclass(frozen=True)
 class PutR(Cell):
-    """Send an input A to the right participant: right !A."""
+    """Send an input A to the right participant: right send A."""
 
     obj: ObjExpr
 
 
 @dataclass(frozen=True)
 class GetR(Cell):
-    """Receive an A from the right participant: right ?A, output A."""
+    """Receive an A from the right participant: right recv A, output A."""
 
     obj: ObjExpr
 
 
 @dataclass(frozen=True)
 class PutL(Cell):
-    """Send an input A to the left participant: left ?A."""
+    """Send an input A to the left participant: left recv A."""
 
     obj: ObjExpr
 
@@ -222,7 +222,7 @@ class IterX(Cell):
 
 @dataclass(frozen=True)
 class IterP(Cell):
-    """Consume a left loop U^p layer by layer, folding with alpha.
+    """Consume a left loop U^+ layer by layer, folding with alpha.
 
     Dual of IterX: the left participant drives, so the loop is finite and
     the fold always terminates.

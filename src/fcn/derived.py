@@ -127,7 +127,7 @@ def _x_unroll(u: Protocol):
 
 
 def _p_unroll(u: Protocol):
-    """u normalized, and the stop and step sides of u^p's unrolling."""
+    """u normalized, and the stop and step sides of u^+'s unrolling."""
     u = normalize_proto(u)
     return u, DONE, seq_proto(u, StarPP(u))
 
@@ -140,7 +140,7 @@ def simple_iter_x(a: Cell, sig: sg.Signature) -> Cell:
 
 
 def simple_iter_p(a: Cell, sig: sg.Signature) -> Cell:
-    """Lift [u | A -> A | w] to [u^p | A -> A | w^p]: replay a once per
+    """Lift [u | A -> A | w] to [u^+ | A -> A | w^+]: replay a once per
     layer supplied by the left participant."""
     ba = infer_boundary(a, sig)
     return _iter_p(a, ba.right, ba.top)
@@ -163,25 +163,25 @@ def _iter_p(a: Cell, u: Protocol, top: sg.ObjExpr) -> Cell:
 
 
 def dup_x(u: Protocol) -> Cell:
-    """[u^x | I -> I | u^x . u^x]: serve one loop to two consumers in turn."""
+    """[u^x | I -> I | u^x * u^x]: serve one loop to two consumers in turn."""
     u, stop, step = _x_unroll(u)
     return IterX(IdH(u), IdH(StarXP(u)), Pi1(stop, step))
 
 
 def counit_x(u: Protocol) -> Cell:
-    """[u^x | I -> I | done]: stop the loop immediately."""
+    """[u^x | I -> I | I]: stop the loop immediately."""
     _, stop, step = _x_unroll(u)
     return Pi0(stop, step)
 
 
 def merge_p(u: Protocol) -> Cell:
-    """[u^p . u^p | I -> I | u^p]: run two finite loops back to back."""
+    """[u^+ * u^+ | I -> I | u^+]: run two finite loops back to back."""
     u, stop, step = _p_unroll(u)
     return IterP(IdH(u), IdH(StarPP(u)), Inj1(stop, step))
 
 
 def unit_p(u: Protocol) -> Cell:
-    """[done | I -> I | u^p]: the empty loop."""
+    """[I | I -> I | u^+]: the empty loop."""
     _, stop, step = _p_unroll(u)
     return Inj0(stop, step)
 
@@ -199,13 +199,13 @@ def duplicate_x(u: Protocol) -> Cell:
 
 
 def insert_p(u: Protocol) -> Cell:
-    """[u | I -> I | u^p]: the one-round loop."""
+    """[u | I -> I | u^+]: the one-round loop."""
     u, stop, step = _p_unroll(u)
     return HComp(VComp(IdH(u), Inj0(stop, step)), Inj1(stop, step))
 
 
 def flatten_p(u: Protocol) -> Cell:
-    """[(u^p)^p | I -> I | u^p]: concatenate a finite loop of finite loops."""
+    """[(u^+)^+ | I -> I | u^+]: concatenate a finite loop of finite loops."""
     u = normalize_proto(u)
     return IterP(IdH(StarPP(u)), unit_p(u), merge_p(u))
 
@@ -215,7 +215,7 @@ def flatten_p(u: Protocol) -> Cell:
 
 
 def offer_to_sum(a: sg.ObjExpr, b: sg.ObjExpr) -> Cell:
-    """[!a + !b | I -> a (+) b | done]: tag whichever value was offered."""
+    """[send a + send b | I -> a (+) b | I]: tag whichever value was offered."""
     return Plus(
         VComp(GetL(a), Promote(sg.Inj0(a, b))),
         VComp(GetL(b), Promote(sg.Inj1(a, b))),
@@ -223,7 +223,7 @@ def offer_to_sum(a: sg.ObjExpr, b: sg.ObjExpr) -> Cell:
 
 
 def sum_to_offer(a: sg.ObjExpr, b: sg.ObjExpr) -> Cell:
-    """[done | a (+) b -> I | !a + !b]: send the value under its tag."""
+    """[I | a (+) b -> I | send a + send b]: send the value under its tag."""
     sa, sb = SendP(sg.normalize_obj(a)), SendP(sg.normalize_obj(b))
     return CopairC(
         HComp(PutR(a), Inj0(sa, sb)),
@@ -232,19 +232,19 @@ def sum_to_offer(a: sg.ObjExpr, b: sg.ObjExpr) -> Cell:
 
 
 def offer_send_forward(a: sg.ObjExpr, b: sg.ObjExpr) -> Cell:
-    """[!a + !b | I -> I | !(a (+) b)]"""
+    """[send a + send b | I -> I | send (a (+) b)]"""
     sum_obj = sg.Sum(sg.normalize_obj(a), sg.normalize_obj(b))
     return VComp(offer_to_sum(a, b), PutR(sum_obj))
 
 
 def offer_send_backward(a: sg.ObjExpr, b: sg.ObjExpr) -> Cell:
-    """[!(a (+) b) | I -> I | !a + !b]"""
+    """[send (a (+) b) | I -> I | send a + send b]"""
     sum_obj = sg.Sum(sg.normalize_obj(a), sg.normalize_obj(b))
     return VComp(GetL(sum_obj), sum_to_offer(a, b))
 
 
 def recv_to_pair(a: sg.ObjExpr, b: sg.ObjExpr) -> Cell:
-    """[?(a (+) b) | I -> I | ?a x ?b]: split a tagged receiver into a
+    """[recv (a (+) b) | I -> I | recv a x recv b]: split a tagged receiver into a
     pair of plain receivers."""
     an, bn = sg.normalize_obj(a), sg.normalize_obj(b)
     sum_obj = sg.Sum(an, bn)
@@ -253,7 +253,7 @@ def recv_to_pair(a: sg.ObjExpr, b: sg.ObjExpr) -> Cell:
 
 
 def pair_to_recv(a: sg.ObjExpr, b: sg.ObjExpr) -> Cell:
-    """[?a x ?b | I -> I | ?(a (+) b)]: merge a pair of receivers into a
+    """[recv a x recv b | I -> I | recv (a (+) b)]: merge a pair of receivers into a
     single tagged receiver."""
     an, bn = sg.normalize_obj(a), sg.normalize_obj(b)
     ra, rb = RecvP(an), RecvP(bn)
@@ -271,7 +271,7 @@ def pair_to_recv(a: sg.ObjExpr, b: sg.ObjExpr) -> Cell:
 
 
 def word_sender(word, a: sg.ObjExpr) -> Cell:
-    """[done | I -> I | (!a)^p]: send the listed values then stop."""
+    """[I | I -> I | (send a)^+]: send the listed values then stop."""
     an = sg.normalize_obj(a)
     _, stop, step = _p_unroll(SendP(an))
     if not word:
@@ -288,7 +288,7 @@ def word_sender(word, a: sg.ObjExpr) -> Cell:
 
 
 def mealy_cell(m: sg.MorExpr, a: sg.ObjExpr, s: sg.ObjExpr, b: sg.ObjExpr) -> Cell:
-    """[!a | s -> s | !b]: one transition of a state machine m : a*s -> s*b."""
+    """[send a | s -> s | send b]: one transition of a state machine m : a*s -> s*b."""
     return vchain(
         HComp(GetL(a), IdV(s)),
         Promote(m),
@@ -303,12 +303,12 @@ def mealy_loop(
     b: sg.ObjExpr,
     sig: sg.Signature,
 ) -> Cell:
-    """[(!a)^p | s -> s | (!b)^p]: run the machine over a finite input word."""
+    """[(send a)^+ | s -> s | (send b)^+]: run the machine over a finite input word."""
     return simple_iter_p(mealy_cell(m, a, s, b), sig)
 
 
 def memory_cell(a: sg.ObjExpr) -> Cell:
-    """[done | a -> a | (!a . ?a)^x]: a one-place store. Each round sends
+    """[I | a -> a | (send a * recv a)^x]: a one-place store. Each round sends
     the current contents to the right and receives the replacement."""
     return IterX(
         VComp(PutR(a), GetR(a)),

@@ -48,7 +48,6 @@ from .protocol import (
     Protocol,
     RecvP,
     SendP,
-    SeqP,
     StarPP,
     StarXP,
     proto_factors,
@@ -650,33 +649,14 @@ _SHAPES = {cls: _shape(cls) for cls in (*CELL_WORDS.values(), *sg.MOR_WORDS.valu
 
 
 def show_proto(p: Protocol) -> str:
-    if isinstance(p, SendP):
-        return f"send {_obj_atom(p.obj)}"
-    if isinstance(p, RecvP):
-        return f"recv {_obj_atom(p.obj)}"
-    if isinstance(p, SeqP):
-        return "(" + " * ".join(show_proto(f) for f in p.parts) + ")"
-    if isinstance(p, ChooseP):
-        return f"({show_proto(p.left)} x {show_proto(p.right)})"
-    if isinstance(p, OfferP):
-        return f"({show_proto(p.left)} + {show_proto(p.right)})"
-    if isinstance(p, StarXP):
-        return f"({show_proto(p.body)})^x"
-    if isinstance(p, StarPP):
-        return f"({show_proto(p.body)})^+"
-    return "I"
-
-
-def _obj_atom(e: sg.ObjExpr) -> str:
-    if isinstance(e, (sg.Tensor, sg.Stack)):
-        return f"({e})"
-    return str(e)
+    """The file syntax of p, which `Protocol.__str__` prints."""
+    return str(p)
 
 
 def _proto_atom(p: Protocol) -> str:
     if not proto_factors(p):
         return "I"
-    return f"({show_proto(p)})"
+    return f"({p})"
 
 
 def show_cell(c: Cell) -> str:
@@ -699,9 +679,9 @@ def show_cell(c: Cell) -> str:
 
 # a cell former's field kind -> its printer
 _SHOW = {
-    "obj_atom": _obj_atom,
+    "obj_atom": sg._obj_atom_str,
     "proto_atom": _proto_atom,
-    "proto": show_proto,
+    "proto": str,
     "cell": show_cell,
 }
 

@@ -1,28 +1,29 @@
 """Protocol types: the two-sided session vocabulary.
 
 A protocol describes one column of interaction between a left participant
-and a right participant.  `Send A` passes an A from left to right, `Recv A`
-the other way.  Protocols compose in sequence, and branch by `Choose` (the
-right participant picks) or `Offer` (the left participant picks).  The two
-loop formers repeat a protocol: `StarX U` is driven by the right participant
-(who may demand another round forever), `StarP U` by the left (who must stop
+and a right participant, and prints in the file syntax that `parser` reads
+back.  `send A` passes an A from left to right, `recv A` the other way, and
+`I` is the empty protocol.  Protocols compose in sequence (`*`), and branch
+by `x` (the right participant picks) or `+` (the left participant picks).
+The two loops repeat a protocol: `U^x` is driven by the right participant
+(who may demand another round forever), `U^+` by the left (who must stop
 eventually).
 
-Equality of protocols is loop-unrolling equality: `StarX U` is the same
-protocol as `Choose(Done, Seq[U, StarX U])`, and `StarP U` the same as
-`Offer(Done, Seq[U, StarP U])`.  Normal forms fold every such unrolling
-back into its loop, so `proto_equal` is `==` on normal forms.
+Equality of protocols is loop-unrolling equality: `U^x` is the same
+protocol as `I x (U * U^x)`, and `U^+` the same as `I + (U * U^+)`.
+Normal forms fold every such unrolling back into its loop, so
+`proto_equal` is `==` on normal forms.
 
 That is the only equation.  In particular a sequence does not distribute
-over a branch: `(U & W) . V` is not `(U . V) & (W . V)`, and likewise for
+over a branch: `(U x W) * V` is not `(U * V) x (W * V)`, and likewise for
 `+`.  The interpreter gives both sides the same environments, but
 boundaries are compared by their normal forms, so identifying them would
-change which terms typecheck: a cell ending in `(U & W) . V` would meet a
-projection `Pi0(U . V, W . V)` that today it does not.
+change which terms typecheck: a cell ending in `(U x W) * V` would meet a
+projection `pi0{U * V, W * V}` that today it does not.
 
 Normal form is decided here and, for objects, in `signature.normalize_obj`,
 and nowhere else.  A protocol is normal when its sequences are flat and
-free of `done`, every one-step loop unrolling is folded back into its
+free of `I`, every one-step loop unrolling is folded back into its
 loop, and its objects are normal.  `normalize_proto` returns normal input
 itself, not a copy, so callers holding a normal protocol never normalize
 it again, and a boundary part or a parsed term stays the object it was.
@@ -37,13 +38,29 @@ from .signature import ObjExpr, normalize_obj, _obj_atom_str, _same_items
 
 @dataclass(frozen=True)
 class Protocol:
-    pass
+    def __str__(self):
+        """The file syntax that `parser` reads, parenthesized so that the
+        text parses back to this protocol."""
+        if isinstance(self, SendP):
+            return f"send {_obj_atom_str(self.obj)}"
+        if isinstance(self, RecvP):
+            return f"recv {_obj_atom_str(self.obj)}"
+        if isinstance(self, SeqP):
+            return "(" + " * ".join(map(str, self.parts)) + ")"
+        if isinstance(self, ChooseP):
+            return f"({self.left} x {self.right})"
+        if isinstance(self, OfferP):
+            return f"({self.left} + {self.right})"
+        if isinstance(self, StarXP):
+            return f"({self.body})^x"
+        if isinstance(self, StarPP):
+            return f"({self.body})^+"
+        return "I"
 
 
 @dataclass(frozen=True)
 class DoneP(Protocol):
-    def __str__(self):
-        return "done"
+    pass
 
 
 DONE = DoneP()
@@ -53,24 +70,15 @@ DONE = DoneP()
 class SendP(Protocol):
     obj: ObjExpr
 
-    def __str__(self):
-        return f"!{_obj_atom_str(self.obj)}"
-
 
 @dataclass(frozen=True)
 class RecvP(Protocol):
     obj: ObjExpr
 
-    def __str__(self):
-        return f"?{_obj_atom_str(self.obj)}"
-
 
 @dataclass(frozen=True)
 class SeqP(Protocol):
     parts: tuple
-
-    def __str__(self):
-        return " . ".join(_proto_atom_str(p) for p in self.parts)
 
 
 @dataclass(frozen=True)
@@ -78,39 +86,21 @@ class ChooseP(Protocol):
     left: Protocol
     right: Protocol
 
-    def __str__(self):
-        return f"({self.left} & {self.right})"
-
 
 @dataclass(frozen=True)
 class OfferP(Protocol):
     left: Protocol
     right: Protocol
 
-    def __str__(self):
-        return f"({self.left} + {self.right})"
-
 
 @dataclass(frozen=True)
 class StarXP(Protocol):
     body: Protocol
 
-    def __str__(self):
-        return f"{_proto_atom_str(self.body)}^x"
-
 
 @dataclass(frozen=True)
 class StarPP(Protocol):
     body: Protocol
-
-    def __str__(self):
-        return f"{_proto_atom_str(self.body)}^p"
-
-
-def _proto_atom_str(p):
-    if isinstance(p, (SeqP, ChooseP, OfferP)):
-        return f"({p})"
-    return str(p)
 
 
 def normalize_proto(p: Protocol) -> Protocol:
@@ -174,8 +164,8 @@ def _proto_factors(p: Protocol) -> tuple:
 
 def _fold_unroll(left, right, star):
     """Recognize one unrolling of a loop and fold it back to the loop node:
-    done & (U . U^x) becomes U^x, and done + (U . U^p) becomes U^p, also
-    when U is done and the sequence is the loop alone."""
+    I x (U * U^x) becomes U^x, and I + (U * U^+) becomes U^+, also when U
+    is I and the sequence is the loop alone."""
     if not isinstance(left, DoneP):
         return None
     parts = proto_factors(right)

@@ -231,11 +231,14 @@ def rewrite(c: Cell, budget: int = 10000) -> RewriteReport:
         while id(c) not in normal and not report.budget_exhausted:
             names = _CHILDREN.get(type(c), ())
             parts = []
+            changed = False
             for name in names:  # a comprehension would add a frame per level
+                child = getattr(c, name)
                 path.append(name)
-                parts.append(norm(getattr(c, name)))
+                parts.append(norm(child))
                 path.pop()
-            if any(p is not getattr(c, n) for p, n in zip(parts, names)):
+                changed |= parts[-1] is not child
+            if changed:
                 c = type(c)(*parts)
             if report.budget_exhausted:
                 break

@@ -2,14 +2,14 @@
 
 A protocol denotes a payload functor:
 
-    done        X  =  X
-    !A          X  =  A-value paired with X            (PSend)
-    ?A          X  =  table from A-values to X         (PTable)
-    p1 . p2     X  =  [[p1]]([[p2]] X)                 (outermost first)
-    U & W       X  =  pair of a U-value and a W-value  (PPair)
+    I           X  =  X
+    send A      X  =  A-value paired with X            (PSend)
+    recv A      X  =  table from A-values to X         (PTable)
+    p1 * p2     X  =  [[p1]]([[p2]] X)                 (outermost first)
+    U x W       X  =  pair of a U-value and a W-value  (PPair)
     U + W       X  =  tagged U-value or W-value        (PInl / PInr)
-    U^p         X  =  X + [[U]]([[U^p]] X)             (PInl stops, PInr steps)
-    U^x         X  =  X & [[U]]([[U^x]] X)             (PPair)
+    U^+         X  =  X + [[U]]([[U^+]] X)             (PInl stops, PInr steps)
+    U^x         X  =  X x [[U]]([[U^x]] X)             (PPair)
 
 A cell with boundary [U | A -> B | W] denotes, for every payload type X, a
 map from ([[U]] X, A-value) to [[W]] (X, B-value): it consumes a U-shaped
@@ -140,8 +140,8 @@ class PTable:
 
 
 class PPair:
-    """The environment of a choice U & W, or of a right-driven loop U^x read
-    as its unrolling done & (U . U^x).
+    """The environment of a choice U x W, or of a right-driven loop U^x read
+    as its unrolling I x (U * U^x).
 
     PPair(left, right) is built eagerly.  PPair.lazy(left, right) takes a
     thunk per side and builds each side on its own first read, at most
@@ -180,8 +180,8 @@ class PInr:
     value: object
 
 
-# The environment of an offer U + W, or of a left-driven loop U^p read as its
-# unrolling done + (U . U^p): PInl(payload) stops and PInr(layer) steps.
+# The environment of an offer U + W, or of a left-driven loop U^+ read as its
+# unrolling I + (U * U^+): PInl(payload) stops and PInr(layer) steps.
 TAGGED = (PInl, PInr)
 
 

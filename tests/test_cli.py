@@ -1,10 +1,14 @@
 import pathlib
+import re
 
+import pytest
 from click.testing import CliRunner
 
 from fcn.cli import main
+from fcn.parser import parse_document, show_cell
 
-DEMO = str(pathlib.Path(__file__).resolve().parent.parent / "demos" / "bakery.fcn")
+DEMOS = pathlib.Path(__file__).resolve().parent.parent / "demos"
+DEMO = str(DEMOS / "bakery.fcn")
 
 
 def run(*args, **kw):
@@ -17,6 +21,26 @@ def test_check_ok():
     lines = r.output.strip().splitlines()
     assert all(line.startswith("OK ") for line in lines)
     assert any(line.startswith("OK bakery :") for line in lines)
+
+
+@pytest.mark.parametrize("name", ["bakery", "choice", "sales"])
+def test_check_prints_boundaries_that_parse_back(name):
+    # each printed boundary, as the header of a cell declaration over the
+    # cell's printed term, parses back to the same boundary and term
+    path = DEMOS / f"{name}.fcn"
+    source = path.read_text()
+    doc = parse_document(source)
+    r = run("check", str(path))
+    assert r.exit_code == 0
+    lines = r.output.strip().splitlines()
+    assert len(lines) == len(doc.cells)
+    for line in lines:
+        cell, boundary = re.fullmatch(r"OK (\w+) : (.*)", line).groups()
+        decl = doc.cells[cell]
+        text = f"cell again : {boundary} = {show_cell(decl.term)};"
+        again = parse_document(source + text).cells["again"]
+        assert again.declared == decl.declared
+        assert again.term == decl.term
 
 
 def test_check_reports_first_error(tmp_path):

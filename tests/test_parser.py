@@ -5,7 +5,7 @@ import pytest
 import goldens as g
 from fcn import parser
 from fcn import signature as sg
-from fcn.cells import GetL, IdV, Promote, VComp, infer_boundary
+from fcn.cells import GetL, IdV, Promote, PutR, VComp, infer_boundary
 from fcn.errors import BoundaryMismatch, ParseError, UnknownName
 from fcn.gen import gen_cell
 from fcn.parser import (
@@ -14,7 +14,6 @@ from fcn.parser import (
     parse_term,
     parse_value,
     show_cell,
-    show_proto,
 )
 from fcn.protocol import (
     ChooseP,
@@ -207,14 +206,14 @@ def test_round_trip_golden(bakery):
         "mor knead : flour -> dough;\n"
         "mor swapdough : dough -> dough;\n"
     )
+    # putR stack coin: a lone stack atom prints without parentheses
+    lone_stack = PutR(g.S_COIN)
+    assert show_cell(lone_stack) == "putR stack coin"
     for cell in [g.kneader, g.baker, g.bakery, g.react, g.choice_h, g.stack_h,
-                 g.memory, g.sale, g.sales]:
+                 g.memory, g.sale, g.sales, lone_stack]:
         b = infer_boundary(cell, sig)
-        text = (
-            f"{prelude}cell c : [ {show_proto(b.left)} | {b.top} -> "
-            f"{b.bottom} | {show_proto(b.right)} ] = {show_cell(cell)};"
-        )
-        d = parse_document(text)
+        d = parse_document(f"{prelude}cell c : {b} = {show_cell(cell)};")
+        assert d.cells["c"].declared == b
         assert d.cells["c"].term == cell
 
 
@@ -230,11 +229,8 @@ def test_round_trip_random(bakery):
     for _ in range(40):
         cell = gen_cell(rng, sig, size=3)
         b = infer_boundary(cell, sig)
-        text = (
-            f"{prelude}cell c : [ {show_proto(b.left)} | {b.top} -> "
-            f"{b.bottom} | {show_proto(b.right)} ] = {show_cell(cell)};"
-        )
-        d = parse_document(text)
+        d = parse_document(f"{prelude}cell c : {b} = {show_cell(cell)};")
+        assert d.cells["c"].declared == b
         assert d.cells["c"].term == cell
 
 

@@ -176,24 +176,25 @@ def test_lazy_pair_runs_its_thunk_once():
 
 # Environments over nested shapes, drawn by rand_pval at depths 0-3: each
 # row is the pval_show string at that depth and the pval_equal verdicts
-# against a second draw at depths 0-3 (T equal, F not).
+# against a second draw at depths 0-3 (T equal, F not).  Each shape has a
+# name, which seeds its draws and names its test.
 OVEN = g.OVEN
 FLOUR = sg.GenObj("flour")
 NESTED_SHAPES = [
-    (OfferP(seq_proto(RecvP(OVEN), SendP(FLOUR)), StarPP(DONE)), [
+    ("(?oven . !flour + done^p)", OfferP(seq_proto(RecvP(OVEN), SendP(FLOUR)), StarPP(DONE)), [
         ("L {hot -> (wheat, x0)}", "FFFF"),
         ("L {hot -> (wheat, x0)}", "FFFF"),
         ("L {hot -> (rye, x0)}", "FFFF"),
         ("L {hot -> (wheat, x1)}", "FFFF"),
     ]),
     # an offer's right branch has no tail, unlike a loop's step
-    (OfferP(RecvP(OVEN), seq_proto(SendP(FLOUR), StarPP(DONE))), [
+    ("(?oven + !flour . done^p)", OfferP(RecvP(OVEN), seq_proto(SendP(FLOUR), StarPP(DONE))), [
         ("L {hot -> x0}", "FFFF"),
         ("L {hot -> x1}", "FFFF"),
         ("R (rye, step step stop x0)", "FFFF"),
         ("L {hot -> x0}", "FFFF"),
     ]),
-    (StarXP(seq_proto(SendP(A), SendP(g.BREAD))), [
+    ("(!dough . !bread)^x", StarXP(seq_proto(SendP(A), SendP(g.BREAD))), [
         ("#handle", "TFFF"),
         ("<x0, (wheatdough, (wheatloaf, #handle))>", "TFFF"),
         (
@@ -208,7 +209,7 @@ NESTED_SHAPES = [
             "TTFF",
         ),
     ]),
-    (StarPP(seq_proto(SendP(A), RecvP(OVEN))), [
+    ("(!dough . ?oven)^p", StarPP(seq_proto(SendP(A), RecvP(OVEN))), [
         ("stop x1", "FFFF"),
         ("stop x0", "FFFF"),
         ("stop x0", "FFFF"),
@@ -218,19 +219,19 @@ NESTED_SHAPES = [
             "FFFF",
         ),
     ]),
-    (StarXP(DONE), [
+    ("done^x", StarXP(DONE), [
         ("#handle", "TTTT"),
         ("<x0, #handle>", "TFFF"),
         ("<x0, <x1, #handle>>", "TFFF"),
         ("<x0, <x1, <x0, #handle>>>", "TFFF"),
     ]),
-    (StarPP(DONE), [
+    ("done^p", StarPP(DONE), [
         ("stop x0", "FFFF"),
         ("stop x0", "TTTT"),
         ("stop x1", "TTTT"),
         ("stop x0", "TTTT"),
     ]),
-    (StarXP(seq_proto(SendP(A), StarXP(SendP(OVEN)))), [
+    ("(!dough . !oven^x)^x", StarXP(seq_proto(SendP(A), StarXP(SendP(OVEN)))), [
         ("#handle", "TFFF"),
         ("<x0, (wheatdough, <#handle, (hot, #handle)>)>", "TTFF"),
         (
@@ -249,7 +250,7 @@ NESTED_SHAPES = [
             "TFFF",
         ),
     ]),
-    (StarPP(seq_proto(SendP(A), StarPP(RecvP(OVEN)))), [
+    ("(!dough . ?oven^p)^p", StarPP(seq_proto(SendP(A), StarPP(RecvP(OVEN)))), [
         ("stop x0", "FFFF"),
         ("stop x1", "FFFF"),
         ("stop x0", "TTTT"),
@@ -259,7 +260,7 @@ NESTED_SHAPES = [
             "FFFF",
         ),
     ]),
-    (StarXP(seq_proto(RecvP(OVEN), StarPP(SendP(A)))), [
+    ("(?oven . !dough^p)^x", StarXP(seq_proto(RecvP(OVEN), StarPP(SendP(A)))), [
         ("#handle", "TFFF"),
         ("<x0, {hot -> stop #handle}>", "TFFF"),
         (
@@ -276,11 +277,11 @@ NESTED_SHAPES = [
 ]
 
 
-@pytest.mark.parametrize("proto, rows", NESTED_SHAPES, ids=[str(p) for p, _ in NESTED_SHAPES])
-def test_walkers_on_nested_shapes(interp, proto, rows):
+@pytest.mark.parametrize("name, proto, rows", NESTED_SHAPES, ids=[n for n, _, _ in NESTED_SHAPES])
+def test_walkers_on_nested_shapes(interp, name, proto, rows):
     protos = proto_factors(proto)
     for depth, (want_shown, want_eq) in enumerate(rows):
-        rng = random.Random(f"{proto}/{depth}")
+        rng = random.Random(f"{name}/{depth}")
         mk = lambda: rng.choice(("x0", "x1"))
         pv = rand_pval(rng, protos, mk, interp.val, depth)
         pw = rand_pval(rng, protos, mk, interp.val, depth)
@@ -292,19 +293,19 @@ def test_walkers_on_nested_shapes(interp, proto, rows):
         assert eq == want_eq
 
 
-# (!dough^x)^x, the right boundary of duplicate_x that comonad-x compares,
+# ((send dough)^x)^x, the right boundary of duplicate_x that comonad-x compares,
 # the same with a send before the inner loop, and the nested shapes above:
 # two environments print alike exactly when they are equal at that depth.
 AGREEMENT_SHAPES = [
-    StarXP(StarXP(SendP(A))),
-    StarXP(seq_proto(SendP(OVEN), StarXP(SendP(A)))),
-] + [proto for proto, _ in NESTED_SHAPES]
+    ("!dough^x^x", StarXP(StarXP(SendP(A)))),
+    ("(!oven . !dough^x)^x", StarXP(seq_proto(SendP(OVEN), StarXP(SendP(A))))),
+] + [(name, proto) for name, proto, _ in NESTED_SHAPES]
 
 
-@pytest.mark.parametrize("proto", AGREEMENT_SHAPES, ids=str)
-def test_equal_exactly_when_shown_alike(interp, proto):
+@pytest.mark.parametrize("name, proto", AGREEMENT_SHAPES, ids=[n for n, _ in AGREEMENT_SHAPES])
+def test_equal_exactly_when_shown_alike(interp, name, proto):
     protos = proto_factors(proto)
-    rng = random.Random(f"agree/{proto}")
+    rng = random.Random(f"agree/{name}")
     mk = lambda: rng.choice(("x0", "x1"))
     for _ in range(60):
         draw = lambda: rand_pval(rng, protos, mk, interp.val, rng.randrange(4))
@@ -458,13 +459,13 @@ def test_pending_map_runs_once_per_leaf():
     assert sorted(calls) == ["x0", "x1"]
 
 
-@pytest.mark.parametrize("proto, rows", NESTED_SHAPES, ids=[str(p) for p, _ in NESTED_SHAPES])
-def test_stacked_maps_show_as_one_composed_map(interp, proto, rows):
+@pytest.mark.parametrize("name, proto, rows", NESTED_SHAPES, ids=[n for n, _, _ in NESTED_SHAPES])
+def test_stacked_maps_show_as_one_composed_map(interp, name, proto, rows):
     protos = proto_factors(proto)
     f, g2 = str.upper, lambda x: x + "!"
     for depth in range(len(rows)):
         for read_first in (False, True):
-            rng = random.Random(f"{proto}/{depth}")
+            rng = random.Random(f"{name}/{depth}")
             mk = lambda: rng.choice(("x0", "x1"))
             pv = rand_pval(rng, protos, mk, interp.val, depth)
             inner = pval_map(pv, protos, f)
