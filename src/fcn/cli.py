@@ -111,7 +111,7 @@ def laws(file, depth, samples, seed):
         raise click.ClickException(str(exc))
     for result in results:
         click.echo(str(result))
-    if any(result.status == "fail" for result in results):
+    if any(result.status in ("fail", "error") for result in results):
         sys.exit(1)
 
 

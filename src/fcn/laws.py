@@ -7,12 +7,16 @@ as equations in the surface syntax, ``putR o | getL o = 1 o``, read once for
 each binding of their metavariables; Python builds only the checks that text
 cannot say: reference maps and the rewriter's own output.
 
-Each check runs against one batch of inputs, an environment for the left
-protocol plus a value for the top edge: all of them when the left protocol
-is loop free and the carriers involved are finite and small, otherwise a
-seeded random sample, with loop handles in the outputs compared to a bounded
-observation depth.  When ``samples`` is 0 and the inputs cannot be
-enumerated, a law skips the check and ``cells_equal`` raises NotEnumerable.
+Each check runs once per shape of input, an environment for the left
+protocol plus a value for the top edge.  A cell moves, copies and drops
+payloads but cannot look at them, so one input per shape with its leaves
+labelled apart decides every payload assignment (Wadler, *Theorems for
+Free!*, 1989).  The inputs are every shape when the left protocol is loop
+free and its carriers are finite and small, otherwise ``samples`` seeded
+random draws of which the distinct shapes run, with loop handles in the
+outputs compared to a bounded observation depth.  When ``samples`` is 0 and
+the inputs cannot be enumerated, a law skips the check and ``cells_equal``
+raises NotEnumerable.
 """
 
 from __future__ import annotations
@@ -26,7 +30,9 @@ from .protocol import proto_factors
 from . import signature as sg
 from .cells import Cell, boundaries_equal, infer_boundary
 from .parser import CellDecl, Document, parse_term
-from .semantics import _ENUM_CAP, Interp, pval_enumerate, pval_equal, pval_map
+from .semantics import (
+    _ENUM_CAP, Interp, pval_enumerate, pval_equal, pval_label, pval_map, pval_shape,
+)
 from .rewrite import rewrite
 from . import derived as dv
 from .gen import gen_cell, gen_interchange_quad, rand_pval, rand_value
@@ -34,8 +40,6 @@ from .gen import gen_cell, gen_interchange_quad, rand_pval, rand_value
 DEFAULT_DEPTH = 4
 DEFAULT_SAMPLES = 64
 DEFAULT_SEED = 0xFCC
-
-_ENUM_TOKENS = ("x0", "x1")
 
 
 @dataclass(frozen=True)
@@ -48,7 +52,7 @@ class EqConfig:
 @dataclass
 class LawResult:
     law: str
-    status: str  # "pass", "fail", or "skipped"
+    status: str  # "pass", "fail", "error", or "skipped"
     instances: int
     detail: str = ""
 
@@ -62,17 +66,17 @@ class LawResult:
 
 def _inputs(bound, val, depth, samples, seed):
     """The (left environment, top value) inputs for cells of this boundary:
-    every input when the space is small enough to enumerate, otherwise
-    ``samples`` seeded random ones, or None when ``samples`` is 0."""
+    one input per shape when there are at most _ENUM_CAP of them, each left
+    environment shape with its leaves labelled u0, u1, ... and with each top
+    value; otherwise ``samples`` seeded random draws, whose leaves are
+    labelled s0, s1, ..., or None when ``samples`` is 0."""
     left = proto_factors(bound.left)
     try:
-        pvs = list(
-            itertools.islice(
-                pval_enumerate(left, list(_ENUM_TOKENS), val), _ENUM_CAP + 1
-            )
-        )
+        shapes = [*itertools.islice(pval_enumerate(left, [None], val), _ENUM_CAP + 1)]
         tops = list(sg.enumerate_values(bound.top, val))
-        if len(pvs) * len(tops) <= _ENUM_CAP:
+        if len(shapes) * len(tops) <= _ENUM_CAP:
+            labels = lambda: (f"u{i}" for i in itertools.count())
+            pvs = [pval_label(shape, left, labels()) for shape in shapes]
             return [(pv, a) for pv in pvs for a in tops]
     except NotEnumerable:
         # a loop factor or an infinite carrier: sample instead
@@ -105,10 +109,17 @@ def _check(sig, val, cfg, c1, c2, cap=None):
     inputs = _inputs(bound, val, cfg.depth, samples, cfg.seed)
     if inputs is None:
         return None
-    right = proto_factors(bound.right)
+    left, right = proto_factors(bound.left), proto_factors(bound.right)
+    # Each shape of input runs once.  rand_pval settles every ^x handle into
+    # a cycle, its own next layer, after `depth` rounds (at once when depth
+    # <= 0), so observing one round deeper sees every distinct layer: two
+    # draws share a shape key only if they are equal up to renaming leaves.
+    shapes = {}
+    for pv, a in inputs:
+        shapes.setdefault((pval_shape(pv, left, max(cfg.depth, 0) + 1), a), (pv, a))
     return all(
         pval_equal(interp.apply(c1, pv, a), want(pv, a), right, cfg.depth)
-        for pv, a in inputs
+        for pv, a in shapes.values()
     )
 
 
@@ -156,6 +167,10 @@ def _law_result(ctx: _Ctx, law: str, checks) -> LawResult:
             ok = _check(ctx.sig, ctx.val, ctx.cfg, *check)
         except FcnError:
             ok = False
+        except Exception as exc:
+            # a fault in the engine itself: report it and go on
+            detail = f"instance {i}: {type(exc).__name__}: {exc}"
+            return LawResult(law, "error", ran, detail)
         if ok is None:
             skipped += 1
         elif not ok:

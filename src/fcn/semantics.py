@@ -162,11 +162,14 @@ class PPair:
 
     def __getattr__(self, name):
         # reached only while a lazy side is unset: build it, drop its thunk
-        if name not in ("left", "right"):
+        if name == "left":
+            value = self.left = self._left()
+            self._left = None
+        elif name == "right":
+            value = self.right = self._right()
+            self._right = None
+        else:
             raise AttributeError(name)
-        value = getattr(self, "_" + name)()
-        setattr(self, name, value)
-        delattr(self, "_" + name)
         return value
 
 
@@ -414,7 +417,7 @@ def _map_unit(pv, proto, k):
 # ---------------------------------------------------------------------------
 # Environment enumeration, observation, and printing
 
-_ENUM_CAP = 4096  # more inputs than this are sampled, not enumerated
+_ENUM_CAP = 4096  # more input shapes than this are sampled, not enumerated
 
 
 def pval_enumerate(protos, payloads, val: Valuation):
@@ -460,6 +463,27 @@ def pval_enumerate(protos, payloads, val: Valuation):
             yield PInr(r)
         return
     raise TypeError(f"unknown protocol form {head!r}")
+
+
+def pval_label(pv, protos, labels):
+    """A copy of pv, an environment over a flat, loop-free factor list, with
+    each leaf drawn from the iterator labels once, in one eager walk, even
+    where pv shares one environment between leaves."""
+    if not protos:
+        return next(labels)
+    head, rest = protos[0], protos[1:]
+    if isinstance(head, SendP):
+        return PSend(pv.value, pval_label(pv.rest, rest, labels))
+    if isinstance(head, RecvP):
+        return PTable({k: pval_label(v, rest, labels) for k, v in pv.table.items()})
+    lp, rp = branches(head)
+    if isinstance(head, ChooseP):
+        return PPair(
+            pval_label(pv.left, lp + rest, labels),
+            pval_label(pv.right, rp + rest, labels),
+        )
+    side = rp if isinstance(pv, PInr) else lp
+    return type(pv)(pval_label(pv.value, side + rest, labels))
 
 
 class _Mark:
@@ -543,6 +567,22 @@ def pval_equal(p, q, protos, depth) -> bool:
     _observe(seen_p, p, protos, depth)
     _observe(seen_q, q, protos, depth)
     return seen_p == seen_q
+
+
+def pval_shape(pv, protos, depth) -> tuple:
+    """The observation of pv at `depth` with its payloads renamed 0, 1, ...
+    in order of first appearance: two environments have the same shape
+    exactly when their observations agree up to renaming the payloads."""
+    seen, names, key = [], {}, None
+    _observe(seen, pv, protos, depth)
+    for i, t in enumerate(seen):
+        if type(t) is _Mark:
+            key = t.key
+        elif key is not None:
+            key = None  # a sent value or a table key, not a payload
+        else:
+            seen[i] = names.setdefault(t, len(names))
+    return tuple(seen)
 
 
 def _show_payload(x) -> str:

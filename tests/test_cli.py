@@ -4,6 +4,8 @@ import re
 import pytest
 from click.testing import CliRunner
 
+from fcn import laws
+from fcn.cells import IdV
 from fcn.cli import main
 from fcn.parser import parse_document, show_cell
 
@@ -173,6 +175,20 @@ def test_laws_without_objects_is_an_error(tmp_path):
     assert r.exit_code == 1
     assert r.output == "Error: the law suite needs at least one object\n"
     assert isinstance(r.exception, SystemExit)
+
+
+def test_laws_error_row_exits_1(monkeypatch):
+    def not_subscriptable(pv, a):
+        raise TypeError("'PMap' object is not subscriptable")
+
+    name, _ = laws.LAWS[0]
+    build = lambda ctx, law: [(IdV(ctx.a), not_subscriptable)]
+    monkeypatch.setattr(laws, "LAWS", [(name, build)] + laws.LAWS[1:])
+    r = run("laws", DEMO, "--depth", "1", "--samples", "1")
+    assert r.exit_code == 1
+    rows = r.output.splitlines()
+    assert len(rows) == len(laws.LAWS)
+    assert [row.split()[1] for row in rows].count("error") == 1
 
 
 def test_laws_skipped_when_samples_zero():

@@ -1,4 +1,5 @@
 import pathlib
+import re
 
 import pytest
 
@@ -6,12 +7,16 @@ import goldens as g
 from fcn import laws
 from fcn import semantics
 from fcn import signature as sg
-from fcn.cells import Cell, GetR, HComp, IdH, IdV, Promote, PutR, VComp, boundary
+from fcn.cells import (
+    Cell, GetR, HComp, IdH, IdV, Promote, PutR, VComp, boundary, infer_boundary,
+)
 from fcn.derived import simple_iter_x, vchain
 from fcn.errors import BoundaryMismatch, IllTypedValue, NotEnumerable
 from fcn.laws import EqConfig, LawResult, cells_equal, run_laws
 from fcn.parser import parse_document, parse_term, show_cell
-from fcn.protocol import DONE, ChooseP, RecvP, SendP, StarXP, seq_proto
+from fcn.protocol import (
+    DONE, ChooseP, OfferP, RecvP, SendP, StarXP, proto_factors, seq_proto,
+)
 
 A = g.DOUGH
 DEMOS = pathlib.Path(__file__).resolve().parent.parent / "demos"
@@ -92,28 +97,139 @@ def test_raising_check_fails_its_law_only(bakery, monkeypatch):
     assert rows[1].status == "pass" and rows[1].instances > 0
 
 
+def test_raising_engine_fault_is_an_error_row(bakery, monkeypatch):
+    # a check that raises anything but an FcnError is a fault of the engine:
+    # its law gets an error row naming the instance, and every other law runs
+    sig, val = bakery
+    name, _ = laws.LAWS[0]
+
+    def not_subscriptable(pv, a):
+        raise TypeError("'PMap' object is not subscriptable")
+
+    def build(ctx, law):
+        return [(HComp(PutR(A), g.GetL(A)), IdV(A)), (IdV(A), not_subscriptable)]
+
+    monkeypatch.setattr(laws, "LAWS", [(name, build)] + laws.LAWS[1:])
+    rows = run_laws(sig, val, EqConfig(depth=1, samples=1))
+    assert [r.law for r in rows] == sorted(n for n, _ in laws.LAWS)
+    [error] = [r for r in rows if r.law == name]
+    assert str(error) == (
+        f"{name:<34} error    1 instance"
+        "  (instance 1: TypeError: 'PMap' object is not subscriptable)"
+    )
+    assert all(r.status == "pass" for r in rows if r is not error)
+
+
 BIG = sg.GenObj("big")
+# left protocols over an 18-value b, with the number of inputs each gets
 BIG_LEFTS = {
-    "!a . ?b": seq_proto(SendP(A), RecvP(BIG)),
-    "(!a & !a^x) . ?b": seq_proto(ChooseP(SendP(A), StarXP(SendP(A))), RecvP(BIG)),
+    # 2 shapes, one per sent a, each with a table of 18 labelled leaves
+    "!a . ?b": (seq_proto(SendP(A), RecvP(BIG)), 2),
+    # 18^4 shapes, more than the cap: sampled
+    "!b . !b . !b . !b": (seq_proto(*[SendP(BIG)] * 4), 64),
+    # a loop inside a branch: sampled
+    "(!a & !a^x) . ?b": (
+        seq_proto(ChooseP(SendP(A), StarXP(SendP(A))), RecvP(BIG)), 64
+    ),
 }
 
 
-@pytest.mark.parametrize("left", BIG_LEFTS.values(), ids=BIG_LEFTS)
-def test_inputs_enumerate_no_further_than_the_cap(left, monkeypatch):
-    # 2^18 receive tables over an 18-value b: too many, so inputs are sampled
+@pytest.mark.parametrize("left, count", BIG_LEFTS.values(), ids=BIG_LEFTS)
+def test_inputs_enumerate_no_further_than_the_cap(left, count, monkeypatch):
     _, val = g.bakery_signature()
     val.carriers["big"] = tuple(f"b{i}" for i in range(18))
-    tables, table = [0], semantics.PTable
+    built = [0]
+    for name in ("PSend", "PTable"):
 
-    def counted(entries):
-        tables[0] += 1
-        return table(entries)
+        def counted(*parts, make=getattr(semantics, name)):
+            built[0] += 1
+            return make(*parts)
 
-    monkeypatch.setattr(semantics, "PTable", counted)
+        monkeypatch.setattr(semantics, name, counted)
     inputs = laws._inputs(boundary(left, sg.UNIT, sg.UNIT, DONE), val, 4, 64, 0)
-    assert len(inputs) == 64
-    assert tables[0] <= laws._ENUM_CAP + 1
+    assert len(inputs) == count
+    # each list the enumeration keeps stops at the cap; enumerating all
+    # 18^4 shapes would build 111,150 sends
+    assert built[0] <= len(proto_factors(left)) * (laws._ENUM_CAP + 1)
+
+
+def test_enumerated_inputs_label_each_shape_once(bakery):
+    _, val = bakery
+    left = proto_factors(
+        seq_proto(ChooseP(SendP(A), RecvP(A)), OfferP(RecvP(g.OVEN), SendP(A)))
+    )
+    inputs = laws._inputs(boundary(seq_proto(*left), A, A, DONE), val, 4, 64, 0)
+    shapes = list(semantics.pval_enumerate(left, [None], val))
+    assert len(inputs) == 2 * len(shapes) == 2 * (2 * 3) * (3 * 3)
+    shown = [(semantics.pval_show(pv, left), a) for pv, a in inputs]
+    for text, _ in shown:
+        labels = re.findall(r"\bu\d+\b", text)
+        assert sorted(labels) == sorted(f"u{i}" for i in range(len(labels)))
+        assert len(labels) > 1
+    unlabelled = {(re.sub(r"\bu\d+\b", "x", text), a) for text, a in shown}
+    assert len(unlabelled) == len(inputs)
+
+
+def _structure(pv, protos):
+    """A walk of pv that names each ^x handle at its first visit and refers
+    back to it at a later one, with payloads renamed in order of first
+    appearance: equal for two environments drawn by rand_pval exactly when
+    they are equal up to renaming their payloads."""
+    out, handles, names = [], {}, {}
+    todo = [(pv, protos)]
+    while todo:
+        pv, protos = todo.pop()
+        if not protos:
+            out.append(("leaf", names.setdefault(pv, len(names))))
+            continue
+        head, rest = protos[0], protos[1:]
+        if isinstance(head, SendP):
+            out.append(("send", pv.value))
+            todo.append((pv.rest, rest))
+        elif isinstance(head, RecvP):
+            keys = sorted(pv.table, key=str)
+            out.append(("table", tuple(keys)))
+            todo += [(pv.table[k], rest) for k in reversed(keys)]
+        elif isinstance(head, StarXP) and id(pv) in handles:
+            out.append(("back", handles[id(pv)]))
+        elif isinstance(head, (ChooseP, StarXP)):
+            if isinstance(head, StarXP):
+                handles[id(pv)] = len(handles)
+            lp, rp = semantics.branches(head)
+            out.append(("pair",))
+            todo += [(pv.right, rp + rest), (pv.left, lp + rest)]
+        else:
+            step = isinstance(pv, semantics.PInr)
+            out.append(("tag", step))
+            todo.append((pv.value, semantics.branches(head)[step] + rest))
+    return tuple(out)
+
+
+@pytest.mark.parametrize("demo", sorted(p.name for p in DEMOS.glob("*.fcn")))
+def test_sampled_shape_key_is_exact(demo):
+    # the law suite checks a sampled input only if no input of the same
+    # shape key was checked before; the key must split the draws of every
+    # sampled check exactly as the structural walk does
+    doc = parse_document((DEMOS / demo).read_text())
+    ctx = laws._Ctx(doc.sig, doc.val, EqConfig())
+    bounds = {
+        infer_boundary(check[0], doc.sig)
+        for name, build in laws.LAWS
+        for check in build(ctx, name)
+    }
+    shared = 0
+    sampled = [b for b in bounds if laws._inputs(b, doc.val, 4, 0, 0) is None]
+    for bound in sorted(sampled, key=str):
+        left = proto_factors(bound.left)
+        for depth in (4, 0, -1):
+            inputs = laws._inputs(bound, doc.val, depth, 64, laws.DEFAULT_SEED)
+            # the key _check gives a draw at this depth
+            keys = [(semantics.pval_shape(pv, left, max(depth, 0) + 1), a)
+                    for pv, a in inputs]
+            walks = [(_structure(pv, left), a) for pv, a in inputs]
+            assert [keys.index(k) for k in keys] == [walks.index(w) for w in walks]
+            shared += len(keys) - len(set(keys))
+    assert shared > 0
 
 
 def test_sampling_deterministic(bakery):

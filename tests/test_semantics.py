@@ -363,10 +363,9 @@ def test_fused_apply_matches_mapped_on_demo_cells():
             _assert_fused(interp, doc.cells[name].term, rng)
 
 
-def test_fused_apply_matches_mapped_on_loop_cells(interp):
-    rng = random.Random("fused-loops")
+def _loop_cells():
     u = SendP(A)
-    cells = [
+    return [
         dv.dup_x(u),
         dv.duplicate_x(u),
         dv.extract_x(u),
@@ -376,7 +375,11 @@ def test_fused_apply_matches_mapped_on_loop_cells(interp):
         dv.crossing(StarXP(seq_proto(u, RecvP(A))), g.OVEN),
         dv.crossing(StarPP(u), g.OVEN),
     ]
-    for c in cells:
+
+
+def test_fused_apply_matches_mapped_on_loop_cells(interp):
+    rng = random.Random("fused-loops")
+    for c in _loop_cells():
         _assert_fused(interp, c, rng)
 
 
@@ -384,6 +387,49 @@ def test_fused_apply_matches_mapped_on_gen_cells(interp):
     rng = random.Random("fused-gen")
     for _ in range(200):
         _assert_fused(interp, gen_cell(rng, interp.sig), rng)
+
+
+# ---------------------------------------------------------------------------
+# Naturality: a cell only moves, copies and drops payloads, so renaming the
+# payloads of its input renames those of its output.  The law suite relies on
+# this to check one input per environment shape, with its leaves labelled
+# apart.
+
+
+def _collapse(label):
+    """u0, u1, u2, ... onto the two tokens x0, x1."""
+    return f"x{int(label[1:]) % 2}"
+
+
+def _assert_natural(interp, c, rng, tries=3):
+    b = infer_boundary(c, interp.sig)
+    left, right = proto_factors(b.left), proto_factors(b.right)
+    counter = itertools.count()
+    for _ in range(tries):
+        pv = rand_pval(rng, left, lambda: f"u{next(counter)}", interp.val, 3)
+        a = rand_value(rng, b.top, interp.val)
+        renamed_first = interp.apply(c, pval_map(pv, left, _collapse), a)
+        renamed_after = pval_map(
+            interp.apply(c, pv, a), right, lambda leaf: (_collapse(leaf[0]), leaf[1])
+        )
+        assert pval_equal(renamed_first, renamed_after, right, 3), f"{c} on {a}"
+
+
+def test_demo_cells_are_natural():
+    rng = random.Random("natural-demos")
+    for path in sorted(DEMOS.glob("*.fcn")):
+        doc = parse_document(path.read_text())
+        interp = Interp(doc.sig, doc.val)
+        for name in doc.cells:
+            _assert_natural(interp, doc.cells[name].term, rng)
+
+
+def test_loop_and_gen_cells_are_natural(interp):
+    rng = random.Random("natural-gen")
+    for c in _loop_cells():
+        _assert_natural(interp, c, rng)
+    for _ in range(200):
+        _assert_natural(interp, gen_cell(rng, interp.sig), rng)
 
 
 # ---------------------------------------------------------------------------
