@@ -11,17 +11,22 @@ from __future__ import annotations
 import random
 
 from .protocol import (
+    CHOOSE,
     DONE,
+    END,
+    LOOP_X,
+    OFFER,
+    RECV,
+    SEND,
     ChooseP,
     OfferP,
     Protocol,
     RecvP,
     SendP,
     SeqP,
-    StarPP,
-    StarXP,
     normalize_proto,
     proto_factors,
+    proto_steps,
 )
 from . import signature as sg
 from .cells import (
@@ -44,7 +49,7 @@ from .cells import (
     VComp,
     infer_boundary,
 )
-from .semantics import PInl, PInr, PPair, PSend, PTable, branches
+from .semantics import PInl, PInr, PPair, PSend, PTable
 from .signature import (
     GenObj,
     InlV,
@@ -81,56 +86,43 @@ def rand_value(rng: random.Random, obj, val: Valuation):
     raise TypeError(f"cannot generate a value of {obj}")
 
 
-def rand_pval(rng: random.Random, protos, mkpayload, val: Valuation, depth=3):
-    """A random environment over a flat protocol factor list, drawn in full
-    when called, so it depends only on the state of rng.
+def rand_pval(rng: random.Random, steps, mkpayload, val: Valuation, depth=3):
+    """A random environment over a step chain, drawn in full when called,
+    so it depends only on the state of rng.
 
     Finite loops have at most `depth` layers; right-driven loops become
     eventually-constant handles: after `depth` rounds a handle is its own
     next layer, a cycle.  Fresh leaf payloads come from mkpayload().
     """
-    if not protos:
+    if steps is END:
         return mkpayload()
-    head, rest = protos[0], protos[1:]
-    if rest:
-        return rand_pval(
-            rng, (head,), lambda: rand_pval(rng, rest, mkpayload, val, depth), val, depth
-        )
-    if isinstance(head, SendP):
+    head, kind = steps.head, steps.kind
+    if steps.rest is not END:
+        rest = lambda: rand_pval(rng, steps.rest, mkpayload, val, depth)
+        return rand_pval(rng, proto_steps(head), rest, val, depth)
+    if kind == SEND:
         return PSend(rand_value(rng, head.obj, val), mkpayload())
-    if isinstance(head, RecvP):
-        return PTable(
-            {k: mkpayload() for k in enumerate_values(head.obj, val)}
-        )
-    if isinstance(head, (ChooseP, StarXP)):
-        lp, rp = branches(head)
-        if isinstance(head, ChooseP):
-            return PPair(
-                rand_pval(rng, lp, mkpayload, val, depth),
-                rand_pval(rng, rp, mkpayload, val, depth),
-            )
+    if kind == RECV:
+        return PTable({k: mkpayload() for k in enumerate_values(head.obj, val)})
+    if kind == CHOOSE:
+        return PPair(*(rand_pval(rng, side, mkpayload, val, depth) for side in steps.parts))
+    if kind == OFFER:
+        tag = PInl if rng.random() < 0.5 else PInr
+        return tag(rand_pval(rng, steps.parts[tag is PInr], mkpayload, val, depth))
+    body, loop = steps.parts
+    if kind == LOOP_X:
         # a handle settles after depth rounds into its own next layer
-        handle = PPair(None, None)
-        nxt = handle
+        handle = nxt = PPair(None, None)
         if depth > 0:
-            nxt = rand_pval(rng, rp[-1:], mkpayload, val, depth - 1)
-        handle.left = rand_pval(rng, lp, mkpayload, val, depth)
-        handle.right = rand_pval(rng, rp[:-1], lambda: nxt, val, depth)
+            nxt = rand_pval(rng, loop, mkpayload, val, depth - 1)
+        handle.left = mkpayload()
+        handle.right = rand_pval(rng, body, lambda: nxt, val, depth)
         return handle
-    if isinstance(head, (OfferP, StarPP)):
-        if isinstance(head, OfferP):
-            step = rng.random() >= 0.5
-        else:
-            step = depth > 0 and rng.random() >= 0.4
-        lp, rp = branches(head)
-        if not step:
-            return PInl(rand_pval(rng, lp, mkpayload, val, depth))
-        if isinstance(head, OfferP):
-            return PInr(rand_pval(rng, rp, mkpayload, val, depth))
-        # the tower beneath a layer has one layer fewer
-        tail = lambda: rand_pval(rng, rp[-1:], mkpayload, val, depth - 1)
-        return PInr(rand_pval(rng, rp[:-1], tail, val, depth))
-    raise TypeError(f"unknown protocol form {head!r}")
+    if not (depth > 0 and rng.random() >= 0.4):
+        return PInl(mkpayload())
+    # the tower beneath a layer has one layer fewer
+    tail = lambda: rand_pval(rng, loop, mkpayload, val, depth - 1)
+    return PInr(rand_pval(rng, body, tail, val, depth))
 
 
 # ---------------------------------------------------------------------------

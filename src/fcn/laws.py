@@ -26,7 +26,7 @@ import random
 from dataclasses import dataclass
 
 from .errors import BoundaryMismatch, FcnError, NotEnumerable
-from .protocol import proto_factors
+from .protocol import proto_steps
 from . import signature as sg
 from .cells import Cell, boundaries_equal, infer_boundary
 from .parser import CellDecl, Document, parse_term
@@ -70,7 +70,7 @@ def _inputs(bound, val, depth, samples, seed):
     environment shape with its leaves labelled u0, u1, ... and with each top
     value; otherwise ``samples`` seeded random draws, whose leaves are
     labelled s0, s1, ..., or None when ``samples`` is 0."""
-    left = proto_factors(bound.left)
+    left = proto_steps(bound.left)
     try:
         shapes = [*itertools.islice(pval_enumerate(left, [None], val), _ENUM_CAP + 1)]
         tops = list(sg.enumerate_values(bound.top, val))
@@ -109,14 +109,12 @@ def _check(sig, val, cfg, c1, c2, cap=None):
     inputs = _inputs(bound, val, cfg.depth, samples, cfg.seed)
     if inputs is None:
         return None
-    left, right = proto_factors(bound.left), proto_factors(bound.right)
-    # Each shape of input runs once.  rand_pval settles every ^x handle into
-    # a cycle, its own next layer, after `depth` rounds (at once when depth
-    # <= 0), so observing one round deeper sees every distinct layer: two
-    # draws share a shape key only if they are equal up to renaming leaves.
+    left, right = proto_steps(bound.left), proto_steps(bound.right)
+    # Each shape of input runs once: two draws share a shape key exactly
+    # when they are equal up to renaming leaves.
     shapes = {}
     for pv, a in inputs:
-        shapes.setdefault((pval_shape(pv, left, max(cfg.depth, 0) + 1), a), (pv, a))
+        shapes.setdefault((pval_shape(pv, left), a), (pv, a))
     return all(
         pval_equal(interp.apply(c1, pv, a), want(pv, a), right, cfg.depth)
         for pv, a in shapes.values()
@@ -291,17 +289,17 @@ def _parts(*loops):
 # -- laws that text cannot say ----------------------------------------------
 
 
-def _carry_top(factors):
+def _carry_top(steps):
     """The crossing cell carries the top value across unchanged: each
     payload x becomes (x, a)."""
-    return lambda pv, a: pval_map(pv, factors, lambda x: (x, a))
+    return lambda pv, a: pval_map(pv, steps, lambda x: (x, a))
 
 
 def _law_crossing_strength(ctx, law):
     checks = []
     for u in _LOOPFREE + _LOOPS:
         doc = _bind(ctx, u)
-        top = _carry_top(proto_factors(doc.protocols["U"]))
+        top = _carry_top(proto_steps(doc.protocols["U"]))
         checks.append((parse_term("cross{U, a}", "cell", doc), top))
     return checks
 

@@ -184,3 +184,71 @@ def proto_equal(p: Protocol, q: Protocol) -> bool:
     """Loop-unrolling equality: normal forms fold every unrolling, so two
     protocols are equal exactly when their normal forms are."""
     return normalize_proto(p) == normalize_proto(q)
+
+
+# ---------------------------------------------------------------------------
+# Step chains: a flat factor list as linked nodes, for the environment walkers
+
+# A step's kind, by the class of its head.  A choice and a ^x loop read a
+# pair, so `kind <= LOOP_X` picks them; an offer and a ^+ loop a tagged value.
+SEND, RECV, CHOOSE, LOOP_X, OFFER, LOOP_P = range(6)
+_KINDS = {SendP: SEND, RecvP: RECV, ChooseP: CHOOSE, StarXP: LOOP_X, OfferP: OFFER,
+          StarPP: LOOP_P}
+
+
+class Step:
+    """A factor `head` of a flat factor list, its `kind`, and the `rest` of
+    the list; a chain ends at END.  Built on first read and kept: the list
+    of `factors` from here on; the two `sides` the environment splits into
+    here, each followed by `rest`, which for a loop are its stop (`rest`)
+    and its step (the body chained back to this node, so the graph stays
+    finite); and, ending at END, the `parts`: a branch's two sides alone,
+    or a loop's body alone and the loop alone."""
+
+    __slots__ = ("head", "rest", "kind", "factors", "sides", "parts")
+
+    def __init__(self, head, rest):
+        self.head, self.rest, self.kind = head, rest, _KINDS[type(head)]
+
+    def __getattr__(self, name):
+        # reached only while a lazy field is unset: build it and keep it
+        head, rest = self.head, self.rest
+        if name == "factors":
+            heads, node = [], self
+            while node is not END:
+                heads.append(node.head)
+                node = node.rest
+            value = tuple(heads)
+        elif name not in ("sides", "parts"):
+            raise AttributeError(name)
+        elif self.kind not in (LOOP_X, LOOP_P):
+            value = tuple(
+                _chain(proto_factors(p), rest) if name == "sides" else proto_steps(p)
+                for p in (head.left, head.right)
+            )
+        elif name == "sides":
+            value = (rest, _chain(proto_factors(head.body), self))
+        else:
+            value = (proto_steps(head.body), proto_steps(head))
+        setattr(self, name, value)
+        return value
+
+
+END = Step.__new__(Step)
+END.head = END.rest = END.kind = None
+
+
+def _chain(factors, tail):
+    for head in reversed(factors):
+        tail = Step(head, tail)
+    return tail
+
+
+def proto_steps(p: Protocol) -> Step:
+    """The factor list of p as a chain of Steps, stored on the node on
+    first use as `proto_factors` stores the list."""
+    out = getattr(p, "_steps", None)
+    if out is None:
+        out = _chain(proto_factors(p), END)
+        object.__setattr__(p, "_steps", out)
+    return out

@@ -22,7 +22,10 @@ the leaves they build, and a composite folds its own post-processing (the
 lower cell of a vertical composite, the tensor of two bottom outputs, the
 next layer of a loop handle) into the continuation it hands its parts, so
 no output is walked twice.  Only the fold of a left-driven loop maps over
-its body's output, to reach the tower beneath.
+its body's output, to reach the tower beneath.  Each `Interp` compiles a
+cell on its first application into a closure that calls its parts'
+closures directly and holds what the rule needs of the cell's boundary
+(Feeley & Lapalme, *Using Closures for Code Generation*, 1987).
 
 Environments are built call-by-need, so a run costs the path a reader
 walks, not the whole output:
@@ -49,11 +52,11 @@ A loop protocol is identified with its one-step unrolling, so each protocol
 shape has one environment: a right-driven loop shares the pair of a choice,
 and a left-driven loop the tagged value of an offer.
 
-The environment walkers (`pval_map`, `pval_enumerate` and the observation
-below) take flat factor lists, as `proto_factors` returns them, and
-`branches` hands them the flat lists of a node's two sides.  So no walker
-meets `done` or a nested sequence: `done` is the empty list, and a loop's
-step is its body's factors followed by the loop itself.
+The environment walkers (`pval_map`, `pval_enumerate`, the observation
+below, `trace._walk` and `gen.rand_pval`) follow the step chains of
+`protocol.proto_steps`, so none meets `done` or a nested sequence, or
+slices a factor list: `done` is `END`, and a loop's step side is its body
+chained back to the loop's own node.
 
 Environments are compared and printed through one observation, a flat token
 list: structure marks, each sent value and table key (tables in the order
@@ -75,15 +78,7 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import IllTypedValue, InfiniteRecvCarrier, NotEnumerable
-from .protocol import (
-    ChooseP,
-    OfferP,
-    RecvP,
-    SendP,
-    StarPP,
-    StarXP,
-    proto_factors,
-)
+from .protocol import CHOOSE, END, LOOP_P, LOOP_X, RECV, SEND, proto_steps
 from .cells import (
     Cell,
     CopairC,
@@ -206,81 +201,70 @@ def expect(pv, shape):
     raise IllTypedValue(f"expected {_SHAPE_NAMES[shape]}, got {pv!r}")
 
 
-def branches(head):
-    """The flat factor lists of the two sides of a binary node: the two
-    branches of a choice or an offer, or the stop and the step of a loop.
-    A loop's step is its body's factors followed by the loop itself."""
-    if isinstance(head, (StarXP, StarPP)):
-        return (), proto_factors(head.body) + (head,)
-    return proto_factors(head.left), proto_factors(head.right)
-
-
 # ---------------------------------------------------------------------------
 # Mapping over environment leaves
 
 
 class PMap:
-    """A pending leaf map: the environment pv over the flat factor list
-    protos with the functions fns applied in turn to every leaf.
+    """A pending leaf map: the environment pv over the step chain node with
+    the functions fns applied in turn to every leaf.
 
     layer() resolves it one layer at a time, at most once: it builds the
     top layer of the mapped environment, whose parts are again pending
     maps, and keeps it.
     """
 
-    __slots__ = ("pv", "protos", "fns", "_layer")
+    __slots__ = ("pv", "node", "fns", "_layer")
 
-    def __init__(self, pv, protos, fns):
-        self.pv, self.protos, self.fns = pv, protos, fns
+    def __init__(self, pv, node, fns):
+        self.pv, self.node, self.fns = pv, node, fns
         self._layer = None
 
     def layer(self):
         if self._layer is None:
-            self._layer = _map_layer(self.pv, self.protos, self.fns)
+            self._layer = _map_layer(self.pv, self.node, self.fns)
             self.pv = self.fns = None
         return self._layer
 
 
-def pval_map(pv, protos, fn):
-    """Apply fn to every payload of an environment over a flat protocol
-    factor list.  Over a non-empty list the map is pending: it returns at
-    once, and fn runs on a leaf only when a read reaches it."""
-    return _mapped(pv, protos, (fn,))
+def pval_map(pv, steps, fn):
+    """Apply fn to every payload of an environment over a step chain.  Over
+    a non-empty chain the map is pending: it returns at once, and fn runs
+    on a leaf only when a read reaches it."""
+    return _mapped(pv, steps, (fn,))
 
 
-def _mapped(pv, protos, fns):
-    if not protos:
+def _mapped(pv, node, fns):
+    if node is END:
         for fn in fns:
             pv = fn(pv)
         return pv
-    if type(pv) is PMap and pv._layer is None and pv.protos == protos:
-        # only a map over the same list composes: over a prefix list the
+    if type(pv) is PMap and pv._layer is None and (
+        pv.node is node or pv.node.factors == node.factors
+    ):
+        # only a map over the same factor list composes: over a prefix the
         # leaves are still environments, and fns must not reach into them
-        return PMap(pv.pv, protos, pv.fns + fns)
-    return PMap(pv, protos, fns)
+        return PMap(pv.pv, node, pv.fns + fns)
+    return PMap(pv, node, fns)
 
 
-def _map_layer(pv, protos, fns):
+def _map_layer(pv, node, fns):
     """The top layer of pv mapped by fns, with pending maps beneath."""
-    head, rest = protos[0], protos[1:]
-    if isinstance(head, SendP):
+    kind = node.kind
+    if kind == SEND:
         pv = expect(pv, PSend)
-        return PSend(pv.value, _mapped(pv.rest, rest, fns))
-    if isinstance(head, RecvP):
-        pv = expect(pv, PTable)
+        return PSend(pv.value, _mapped(pv.rest, node.rest, fns))
+    if kind == RECV:
+        pv, rest = expect(pv, PTable), node.rest
         return PTable({k: _mapped(v, rest, fns) for k, v in pv.table.items()})
-    if isinstance(head, (ChooseP, StarXP)):
+    if kind <= LOOP_X:
         pv = expect(pv, PPair)
-        lp, rp = branches(head)
+        left, right = node.sides
         return PPair.lazy(
-            lambda: _mapped(pv.left, lp + rest, fns),
-            lambda: _mapped(pv.right, rp + rest, fns),
+            lambda: _mapped(pv.left, left, fns), lambda: _mapped(pv.right, right, fns)
         )
-    if isinstance(head, (OfferP, StarPP)):
-        pv = expect(pv, TAGGED)
-        side = branches(head)[isinstance(pv, PInr)]
-        return type(pv)(_mapped(pv.value, side + rest, fns))
-    raise TypeError(f"unknown protocol form {head!r}")
+    pv = expect(pv, TAGGED)
+    return type(pv)(_mapped(pv.value, node.sides[type(pv) is PInr], fns))
 
 
 # ---------------------------------------------------------------------------
@@ -295,16 +279,16 @@ def _payload(leaf):
     return leaf[0]
 
 
-# Cells whose right protocol is done: their output is a single leaf.
-_DONE_RIGHT = (Promote, GetL, PutL, IdV)
-
-
 class Interp:
-    """Runs cells against a signature and a valuation of its generators."""
+    """Runs cells against a signature and a valuation of its generators.
+
+    Its compiled closures `run(pv, a, k)` are kept here, keyed by the cell's
+    id, and not on the cell, which would keep those of every Interp."""
 
     def __init__(self, sig: Signature, val: Valuation):
-        self.sig = sig
-        self.val = val
+        self.sig, self.val = sig, val
+        self._runs = {}  # id(cell) -> its closure
+        self._cells = []  # the compiled cells, so that no id is reused
 
     def apply(self, c: Cell, pv, a: Value, k=None):
         """Run cell c on a left environment pv and a top input a.
@@ -313,105 +297,170 @@ class Interp:
         pairs (incoming payload, bottom output value); k defaults to the
         identity.  Every rule builds its leaves through k.
         """
-        if k is None:
-            k = _leaf
-        if isinstance(c, Promote):
-            return k((pv, eval_mor(c.mor, a, self.val, self.sig)))
-        if isinstance(c, GetL):
-            pv = expect(pv, PSend)
-            return k((pv.rest, pv.value))
-        if isinstance(c, PutR):
-            return PSend(a, k((pv, UNITV)))
-        if isinstance(c, GetR):
-            try:
-                values = list(enumerate_values(c.obj, self.val))
-            except NotEnumerable as e:
-                raise InfiniteRecvCarrier(str(e)) from e
-            return PTable({v: k((pv, v)) for v in values})
-        if isinstance(c, PutL):
-            pv = expect(pv, PTable)
-            if a not in pv.table:
-                raise IllTypedValue(f"{a} missing from receive table")
-            return k((pv.table[a], UNITV))
-        if isinstance(c, IdV):
-            return k((pv, a))
-        if isinstance(c, IdH):
-            return _map_unit(pv, c.proto, k)
-        if isinstance(c, HComp):
-            parts = value_factors(a)
-            n1 = len(obj_factors(infer_boundary(c.a, self.sig).top))
-            mid = self.apply(c.a, pv, tensor_value(*parts[:n1]))
-            # leaves of c.b are ((x, b), d); fuse the two bottom outputs
-            return self.apply(
-                c.b,
-                mid,
-                tensor_value(*parts[n1:]),
-                lambda leaf: k((leaf[0][0], tensor_value(leaf[0][1], leaf[1]))),
-            )
-        if isinstance(c, VComp):
-            if isinstance(c.a, _DONE_RIGHT):
-                # one leaf: hand it on without a continuation frame
-                x, b = self.apply(c.a, pv, a)
-                return self.apply(c.b, x, b, k)
-            return self.apply(
-                c.a, pv, a, lambda leaf: self.apply(c.b, leaf[0], leaf[1], k)
-            )
-        if isinstance(c, Pi0):
-            return _map_unit(expect(pv, PPair).left, c.left, k)
-        if isinstance(c, Pi1):
-            return _map_unit(expect(pv, PPair).right, c.right, k)
-        if isinstance(c, Times):
+        return self._run(c)(pv, a, k or _leaf)
+
+    def _run(self, c):
+        run = self._runs.get(id(c))
+        if run is None:
+            run = self._runs[id(c)] = _COMPILE[type(c)](self, c)
+            self._cells.append(c)
+        return run
+
+
+def _compile_promote(interp, c):
+    mor, val, sig = c.mor, interp.val, interp.sig
+    return lambda pv, a, k: k((pv, eval_mor(mor, a, val, sig)))
+
+
+def _get_l(pv, a, k):
+    pv = expect(pv, PSend)
+    return k((pv.rest, pv.value))
+
+
+def _compile_getr(interp, c):
+    obj, val = c.obj, interp.val
+
+    def run(pv, a, k):
+        try:
+            values = list(enumerate_values(obj, val))
+        except NotEnumerable as e:
+            raise InfiniteRecvCarrier(str(e)) from e
+        return PTable({v: k((pv, v)) for v in values})
+
+    return run
+
+
+def _put_l(pv, a, k):
+    table = expect(pv, PTable).table
+    if a not in table:
+        raise IllTypedValue(f"{a} missing from receive table")
+    return k((table[a], UNITV))
+
+
+def _compile_hcomp(interp, c):
+    n1 = len(obj_factors(infer_boundary(c.a, interp.sig).top))
+    run_a, run_b = interp._run(c.a), interp._run(c.b)
+
+    def run(pv, a, k):
+        parts = value_factors(a)
+        mid = run_a(pv, tensor_value(*parts[:n1]), _leaf)
+        # leaves of c.b are ((x, b), d); fuse the two bottom outputs
+        fuse = lambda leaf: k((leaf[0][0], tensor_value(leaf[0][1], leaf[1])))
+        return run_b(mid, tensor_value(*parts[n1:]), fuse)
+
+    return run
+
+
+def _compile_vcomp(interp, c):
+    run_a, run_b = interp._run(c.a), interp._run(c.b)
+    if isinstance(c.a, (Promote, GetL, PutL, IdV)):
+        # c.a's right protocol is done: hand its one leaf on directly
+        return lambda pv, a, k: run_b(*run_a(pv, a, _leaf), k)
+    return lambda pv, a, k: run_a(pv, a, lambda leaf: run_b(leaf[0], leaf[1], k))
+
+
+def _compile_times(interp, c):
+    run_a, run_b = interp._run(c.a), interp._run(c.b)
+    return lambda pv, a, k: PPair.lazy(lambda: run_a(pv, a, k), lambda: run_b(pv, a, k))
+
+
+def _compile_plus(interp, c):
+    run_a, run_b = interp._run(c.a), interp._run(c.b)
+
+    def run(pv, a, k):
+        tagged = expect(pv, TAGGED)
+        branch = run_a if type(tagged) is PInl else run_b
+        return branch(tagged.value, a, k)
+
+    return run
+
+
+def _compile_copair(interp, c):
+    run_a, run_b = interp._run(c.a), interp._run(c.b)
+
+    def run(pv, a, k):
+        if isinstance(a, InlV):
+            return run_a(pv, a.value, k)
+        if isinstance(a, InrV):
+            return run_b(pv, a.value, k)
+        raise IllTypedValue(f"branching cell needs a tagged input, got {a}")
+
+    return run
+
+
+def _compile_iterx(interp, c):
+    run_f, run_g, run_alpha = interp._run(c.f), interp._run(c.g), interp._run(c.alpha)
+
+    def run(pv, a, k):
+        def make_handle(leaf):
+            state, inp = leaf
+            # the next layer: g peels a body-left environment over fresh
+            # loop states, and alpha runs on it
             return PPair.lazy(
-                lambda: self.apply(c.a, pv, a, k), lambda: self.apply(c.b, pv, a, k)
+                lambda: run_f(state, inp, k),
+                lambda: run_alpha(run_g(state, UNITV, _payload), inp, make_handle),
             )
-        if isinstance(c, Inj0):
-            return PInl(_map_unit(pv, c.left, k))
-        if isinstance(c, Inj1):
-            return PInr(_map_unit(pv, c.right, k))
-        if isinstance(c, Plus):
-            tagged = expect(pv, TAGGED)
-            branch = c.a if isinstance(tagged, PInl) else c.b
-            return self.apply(branch, tagged.value, a, k)
-        if isinstance(c, CopairC):
-            if isinstance(a, InlV):
-                return self.apply(c.a, pv, a.value, k)
-            if isinstance(a, InrV):
-                return self.apply(c.b, pv, a.value, k)
-            raise IllTypedValue(f"branching cell needs a tagged input, got {a}")
-        if isinstance(c, IterX):
 
-            def make_handle(leaf):
-                state, inp = leaf
+        return make_handle((pv, a))
 
-                def layer():
-                    # g peels a body-left environment over fresh loop states
-                    peeled = self.apply(c.g, state, UNITV, _payload)
-                    return self.apply(c.alpha, peeled, inp, make_handle)
-
-                return PPair.lazy(lambda: self.apply(c.f, state, inp, k), layer)
-
-            return make_handle((pv, a))
-        if isinstance(c, IterP):
-            body_right = proto_factors(infer_boundary(c.alpha, self.sig).right)
-
-            def fold(state, inp):
-                state = expect(state, TAGGED)
-                if isinstance(state, PInl):
-                    return self.apply(c.f, state.value, inp, k)
-                # fold the layer's leaves through a pending map rather than
-                # alpha's continuation: each fold runs when a read reaches
-                # its leaf, so the stack does not grow with the tower
-                stepped = self.apply(c.alpha, state.value, inp)
-                folded = pval_map(stepped, body_right, lambda leaf: fold(*leaf))
-                return self.apply(c.g, folded, UNITV, _payload)
-
-            return fold(pv, a)
-        raise TypeError(f"unknown cell form {c!r}")
+    return run
 
 
-def _map_unit(pv, proto, k):
-    """The leaves of a silent cell: each payload x becomes k((x, ())."""
-    return pval_map(pv, proto_factors(proto), lambda x: k((x, UNITV)))
+def _compile_iterp(interp, c):
+    body_right = proto_steps(infer_boundary(c.alpha, interp.sig).right)
+    run_f, run_g, run_alpha = interp._run(c.f), interp._run(c.g), interp._run(c.alpha)
+
+    def run(pv, a, k):
+        def fold(state, inp):
+            state = expect(state, TAGGED)
+            if type(state) is PInl:
+                return run_f(state.value, inp, k)
+            # fold the layer's leaves through a pending map rather than
+            # alpha's continuation: each fold runs when a read reaches its
+            # leaf, so the stack does not grow with the tower
+            stepped = run_alpha(state.value, inp, _leaf)
+            folded = pval_map(stepped, body_right, lambda leaf: fold(*leaf))
+            return run_g(folded, UNITV, _payload)
+
+        return fold(pv, a)
+
+    return run
+
+
+def _compile_silent(side, read, tag):
+    """The compile function of a silent cell, which maps each payload x of
+    the environment `read(pv)` over its protocol `side` to k((x, ())) and
+    hands the result to `tag`."""
+
+    def compile_cell(interp, c):
+        steps = proto_steps(getattr(c, side))
+        return lambda pv, a, k: tag(_mapped(read(pv), steps, (lambda x: k((x, UNITV)),)))
+
+    return compile_cell
+
+
+# One compile function per cell former: it returns the cell's closure,
+# linked to the closures of its parts.
+_COMPILE = {
+    Promote: _compile_promote,
+    GetL: lambda interp, c: _get_l,
+    PutR: lambda interp, c: lambda pv, a, k: PSend(a, k((pv, UNITV))),
+    GetR: _compile_getr,
+    PutL: lambda interp, c: _put_l,
+    IdV: lambda interp, c: lambda pv, a, k: k((pv, a)),
+    IdH: _compile_silent("proto", _leaf, _leaf),
+    HComp: _compile_hcomp,
+    VComp: _compile_vcomp,
+    Pi0: _compile_silent("left", lambda pv: expect(pv, PPair).left, _leaf),
+    Pi1: _compile_silent("right", lambda pv: expect(pv, PPair).right, _leaf),
+    Times: _compile_times,
+    Inj0: _compile_silent("left", _leaf, PInl),
+    Inj1: _compile_silent("right", _leaf, PInr),
+    Plus: _compile_plus,
+    CopairC: _compile_copair,
+    IterX: _compile_iterx,
+    IterP: _compile_iterp,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -420,70 +469,54 @@ def _map_unit(pv, proto, k):
 _ENUM_CAP = 4096  # more input shapes than this are sampled, not enumerated
 
 
-def pval_enumerate(protos, payloads, val: Valuation):
-    """All environments over a flat, loop-free protocol factor list, with
-    leaf payloads drawn from the given list.  A list kept on the way stops
-    at _ENUM_CAP + 1 entries, which already put the total over the cap."""
-    if not protos:
+def pval_enumerate(steps, payloads, val: Valuation):
+    """All environments over a loop-free step chain, with leaf payloads
+    drawn from the given list.  A list kept on the way stops at
+    _ENUM_CAP + 1 entries, which already put the total over the cap."""
+    if steps is END:
         yield from payloads
         return
-    head, rest = protos[0], protos[1:]
-    if isinstance(head, (StarXP, StarPP)):
+    kind = steps.kind
+    if kind == LOOP_X or kind == LOOP_P:
         # a loop has no finite set of environments: refuse it before the
         # factors after it are enumerated
-        raise NotEnumerable(f"cannot enumerate environments of {head}")
-    if rest:
-        inner = itertools.islice(pval_enumerate(rest, payloads, val), _ENUM_CAP + 1)
-        yield from pval_enumerate((head,), list(inner), val)
-        return
-    if isinstance(head, SendP):
-        for v in enumerate_values(head.obj, val):
-            for p in payloads:
-                yield PSend(v, p)
-        return
-    if isinstance(head, RecvP):
-        keys = list(enumerate_values(head.obj, val))
+        raise NotEnumerable(f"cannot enumerate environments of {steps.head}")
+    if steps.rest is not END:
+        rest = pval_enumerate(steps.rest, payloads, val)
+        payloads = list(itertools.islice(rest, _ENUM_CAP + 1))
+    if kind == SEND:
+        values = enumerate_values(steps.head.obj, val)
+        yield from itertools.starmap(PSend, itertools.product(values, payloads))
+    elif kind == RECV:
+        keys = list(enumerate_values(steps.head.obj, val))
         for combo in itertools.product(payloads, repeat=len(keys)):
             yield PTable(dict(zip(keys, combo)))
-        return
-    if isinstance(head, ChooseP):
+    elif kind == CHOOSE:
         lefts, rights = (
             list(itertools.islice(pval_enumerate(p, payloads, val), _ENUM_CAP + 1))
-            for p in branches(head)
+            for p in steps.parts
         )
-        for l in lefts:
-            for r in rights:
-                yield PPair(l, r)
-        return
-    if isinstance(head, OfferP):
-        lp, rp = branches(head)
-        for l in pval_enumerate(lp, payloads, val):
-            yield PInl(l)
-        for r in pval_enumerate(rp, payloads, val):
-            yield PInr(r)
-        return
-    raise TypeError(f"unknown protocol form {head!r}")
+        yield from itertools.starmap(PPair, itertools.product(lefts, rights))
+    else:
+        for tag, side in zip((PInl, PInr), steps.parts):
+            yield from map(tag, pval_enumerate(side, payloads, val))
 
 
-def pval_label(pv, protos, labels):
-    """A copy of pv, an environment over a flat, loop-free factor list, with
-    each leaf drawn from the iterator labels once, in one eager walk, even
-    where pv shares one environment between leaves."""
-    if not protos:
+def pval_label(pv, node, labels):
+    """A copy of pv, an environment over a loop-free step chain, with each
+    leaf drawn from the iterator labels once, in one eager walk, even where
+    pv shares one environment between leaves."""
+    if node is END:
         return next(labels)
-    head, rest = protos[0], protos[1:]
-    if isinstance(head, SendP):
-        return PSend(pv.value, pval_label(pv.rest, rest, labels))
-    if isinstance(head, RecvP):
-        return PTable({k: pval_label(v, rest, labels) for k, v in pv.table.items()})
-    lp, rp = branches(head)
-    if isinstance(head, ChooseP):
-        return PPair(
-            pval_label(pv.left, lp + rest, labels),
-            pval_label(pv.right, rp + rest, labels),
-        )
-    side = rp if isinstance(pv, PInr) else lp
-    return type(pv)(pval_label(pv.value, side + rest, labels))
+    kind = node.kind
+    if kind == SEND:
+        return PSend(pv.value, pval_label(pv.rest, node.rest, labels))
+    if kind == RECV:
+        return PTable({k: pval_label(v, node.rest, labels) for k, v in pv.table.items()})
+    left, right = node.sides
+    if kind == CHOOSE:
+        return PPair(pval_label(pv.left, left, labels), pval_label(pv.right, right, labels))
+    return type(pv)(pval_label(pv.value, right if type(pv) is PInr else left, labels))
 
 
 class _Mark:
@@ -505,84 +538,96 @@ _HANDLE = _Mark("#handle")
 _TAGS = ((_Mark("L "), _Mark("R ")), (_Mark("stop "), _Mark("step ")))
 
 
-def _observe(out, pv, protos, depth):
-    """Append to out the observation of pv over the flat factor list protos
-    at depth.  The work is a stack of tokens still to append and of pending
-    observations (pv, protos, depth, then): their leaves are payloads when
+def _observe(out, pv, node, depth):
+    """Append to out the observation of pv over the step chain node at
+    depth.  The work is a stack of tokens still to append and of pending
+    observations (pv, node, depth, then): their leaves are payloads when
     `then` is None, and otherwise environments observed over `then`, a
-    triple (protos, depth, then)."""
-    todo = [(pv, protos, depth, None)]
+    triple (node, depth, then)."""
+    todo = [(pv, node, depth, None)]
     while todo:
         item = todo.pop()
         if type(item) is not tuple:
             out.append(item)
             continue
-        pv, protos, depth, then = item
-        while not protos and then is not None:
-            protos, depth, then = then
-        if not protos:
+        pv, node, depth, then = item
+        while node is END and then is not None:
+            node, depth, then = then
+        if node is END:
             out.append(pv)
             continue
-        head, rest = protos[0], protos[1:]
-        if isinstance(head, SendP):
+        kind = node.kind
+        if kind == SEND:
             pv = expect(pv, PSend)
             out += (_SEND, pv.value)
-            todo += (_END_SEND, (pv.rest, rest, depth, then))
-        elif isinstance(head, RecvP):
-            table = expect(pv, PTable).table
+            todo += (_END_SEND, (pv.rest, node.rest, depth, then))
+        elif kind == RECV:
+            table, rest = expect(pv, PTable).table, node.rest
             out.append(_TABLE)
             todo.append(_END_TABLE)
             # pushed last key first, so they come off in order of their text
             for i, key in reversed(list(enumerate(sorted(table, key=str)))):
                 todo += ((table[key], rest, depth, then), key, _NEXT_KEY if i else _KEY)
-        elif isinstance(head, (ChooseP, StarXP)):
-            if isinstance(head, StarXP) and depth <= 0:
-                out.append(_HANDLE)
-                continue
+        elif kind == LOOP_X and depth <= 0:
+            # cut off before a pending map is resolved: no layer is built
+            out.append(_HANDLE)
+        elif kind <= LOOP_X:
             pv = expect(pv, PPair)
-            lp, rp = branches(head)
             out.append(_PAIR)
-            left = (pv.left, lp + rest, depth, then)
-            if isinstance(head, StarXP):
+            left = (pv.left, node.sides[0], depth, then)
+            if kind == LOOP_X:
                 # the body at depth, the loop beneath it at depth - 1, and
                 # what follows the loop at the depth it was split off at
-                below = (rp[-1:], depth - 1, (rest, depth, then))
-                right = (pv.right, rp[:-1], depth, below)
+                body, loop = node.parts
+                right = (pv.right, body, depth, (loop, depth - 1, (node.rest, depth, then)))
             else:
-                right = (pv.right, rp + rest, depth, then)
+                right = (pv.right, node.sides[1], depth, then)
             todo += (_END_PAIR, right, _COMMA, left)
-        elif isinstance(head, (OfferP, StarPP)):
-            pv = expect(pv, TAGGED)
-            step = isinstance(pv, PInr)
-            out.append(_TAGS[isinstance(head, StarPP)][step])
-            todo.append((pv.value, branches(head)[step] + rest, depth, then))
         else:
-            raise TypeError(f"unknown protocol form {head!r}")
+            pv = expect(pv, TAGGED)
+            step = type(pv) is PInr
+            out.append(_TAGS[kind == LOOP_P][step])
+            todo.append((pv.value, node.sides[step], depth, then))
 
 
-def pval_equal(p, q, protos, depth) -> bool:
-    """Observational equality of environments over a flat factor list: the
-    two observations at `depth` are equal."""
+def pval_equal(p, q, steps, depth) -> bool:
+    """Observational equality of environments over a step chain: the two
+    observations at `depth` are equal."""
     seen_p, seen_q = [], []
-    _observe(seen_p, p, protos, depth)
-    _observe(seen_q, q, protos, depth)
+    _observe(seen_p, p, steps, depth)
+    _observe(seen_q, q, steps, depth)
     return seen_p == seen_q
 
 
-def pval_shape(pv, protos, depth) -> tuple:
-    """The observation of pv at `depth` with its payloads renamed 0, 1, ...
-    in order of first appearance: two environments have the same shape
-    exactly when their observations agree up to renaming the payloads."""
-    seen, names, key = [], {}, None
-    _observe(seen, pv, protos, depth)
-    for i, t in enumerate(seen):
-        if type(t) is _Mark:
-            key = t.key
-        elif key is not None:
-            key = None  # a sent value or a table key, not a payload
+def pval_shape(pv, steps) -> tuple:
+    """The structure of pv over a step chain, with its payloads renamed 0,
+    1, ... in order of first appearance, in one walk that numbers each ^x
+    handle at its first visit and stops at its number on a later one.  So
+    two draws of `gen.rand_pval`, whose handles settle into cycles, have
+    equal shapes exactly when they are equal up to renaming payloads."""
+    out, handles, names, todo = [], {}, {}, [(pv, steps)]
+    while todo:
+        pv, node = todo.pop()
+        kind = node.kind
+        if node is END:
+            out.append(names.setdefault(pv, len(names)))
+        elif kind == SEND:
+            out.append(pv.value)
+            todo.append((pv.rest, node.rest))
+        elif kind == RECV:
+            keys = sorted(pv.table, key=str)
+            out.append(tuple(keys))
+            todo += [(pv.table[key], node.rest) for key in reversed(keys)]
+        elif kind == LOOP_X and id(pv) in handles:
+            out.append(handles[id(pv)])
+        elif kind <= LOOP_X:
+            if kind == LOOP_X:
+                out.append(handles.setdefault(id(pv), len(handles)))
+            todo += [(pv.right, node.sides[1]), (pv.left, node.sides[0])]
         else:
-            seen[i] = names.setdefault(t, len(names))
-    return tuple(seen)
+            out.append(type(pv) is PInr)
+            todo.append((pv.value, node.sides[type(pv) is PInr]))
+    return tuple(out)
 
 
 def _show_payload(x) -> str:
@@ -591,12 +636,12 @@ def _show_payload(x) -> str:
     return str(x)
 
 
-def pval_show(pv, protos, depth=2) -> str:
-    """Render the observation of an environment over a flat factor list at
+def pval_show(pv, steps, depth=2) -> str:
+    """Render the observation of an environment over a step chain at
     `depth`.  Sent values and table keys are rendered with str, and the
     payloads at the leaves as tuples of their parts."""
     seen = []
-    _observe(seen, pv, protos, depth)
+    _observe(seen, pv, steps, depth)
     parts, key = [], None
     for t in seen:
         if type(t) is _Mark:

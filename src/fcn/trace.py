@@ -27,8 +27,8 @@ from dataclasses import dataclass
 
 from .errors import IllTypedValue, ScriptOverrun, ScriptUnderrun, WrongMove
 from .cells import infer_boundary
-from .protocol import ChooseP, OfferP, RecvP, SendP, StarPP, StarXP, proto_factors
-from .semantics import TAGGED, Interp, PInr, PPair, PSend, PTable, branches, expect
+from .protocol import CHOOSE, END, LOOP_X, OFFER, RECV, SEND, proto_factors, proto_steps
+from .semantics import TAGGED, Interp, PInr, PPair, PSend, PTable, expect
 from .signature import Value, check_value
 
 
@@ -77,15 +77,15 @@ def run_trace(interp: Interp, cell, top_value: Value, moves) -> list:
     pv = interp.apply(cell, None, top_value)
     events = []
     moves = list(moves)
-    pos = _walk(pv, proto_factors(b.right), moves, events)
+    pos = _walk(pv, proto_steps(b.right), moves, events)
     if pos < len(moves):
         raise ScriptOverrun(f"{len(moves) - pos} unused moves, next: {moves[pos]}")
     return events
 
 
-def _walk(pv, protos, moves, events) -> int:
-    """Walk pv over the flat factor list protos, one move or event per step,
-    and return how many moves were consumed."""
+def _walk(pv, node, moves, events) -> int:
+    """Walk pv over the step chain node, one move or event per step, and
+    return how many moves were consumed."""
     pos = 0
 
     def need(kinds, what):
@@ -96,42 +96,39 @@ def _walk(pv, protos, moves, events) -> int:
             raise WrongMove(what, m)
         return m
 
-    while protos:
-        head, protos = protos[0], protos[1:]
-        if isinstance(head, SendP):
+    while node is not END:
+        kind = node.kind
+        if kind == SEND:
             pv = expect(pv, PSend)
             events.append(f"sent {pv.value}")
-            pv = pv.rest
-        elif isinstance(head, RecvP):
+            pv, node = pv.rest, node.rest
+        elif kind == RECV:
             m = need(RecvMove, "RecvMove")
             pv = expect(pv, PTable)
             if m.value not in pv.table:
                 raise WrongMove(f"recv of one of {sorted(map(str, pv.table))}", m)
-            pv = pv.table[m.value]
+            pv, node = pv.table[m.value], node.rest
             pos += 1
-        elif isinstance(head, (ChooseP, StarXP)):
+        elif kind <= LOOP_X:
             # the right participant picks a side: a branch, or stop / continue
-            if isinstance(head, ChooseP):
+            if kind == CHOOSE:
                 right = need(PickMove, "PickMove").which != 0
             else:
                 m = need((StopMove, ContinueMove), "stop or continue")
                 right = isinstance(m, ContinueMove)
             pair = expect(pv, PPair)
             pv = pair.right if right else pair.left
-            protos = branches(head)[right] + protos
+            node = node.sides[right]
             pos += 1
-        elif isinstance(head, (OfferP, StarPP)):
+        else:
             # the cell has picked a side
             tagged = expect(pv, TAGGED)
-            right = isinstance(tagged, PInr)
-            if isinstance(head, OfferP):
+            right = type(tagged) is PInr
+            if kind == OFFER:
                 events.append(f"offered {int(right)}")
             else:
                 events.append("more" if right else "halted")
-            pv = tagged.value
-            protos = branches(head)[right] + protos
-        else:
-            raise TypeError(f"unknown protocol form {head!r}")
+            pv, node = tagged.value, node.sides[right]
     x, bottom = pv
     events.append(f"result {bottom}")
     return pos

@@ -15,7 +15,7 @@ from fcn.errors import BoundaryMismatch, IllTypedValue, NotEnumerable
 from fcn.laws import EqConfig, LawResult, cells_equal, run_laws
 from fcn.parser import parse_document, parse_term, show_cell
 from fcn.protocol import (
-    DONE, ChooseP, OfferP, RecvP, SendP, StarXP, proto_factors, seq_proto,
+    DONE, ChooseP, OfferP, RecvP, SendP, StarXP, proto_factors, proto_steps, seq_proto,
 )
 
 A = g.DOUGH
@@ -155,13 +155,12 @@ def test_inputs_enumerate_no_further_than_the_cap(left, count, monkeypatch):
 
 def test_enumerated_inputs_label_each_shape_once(bakery):
     _, val = bakery
-    left = proto_factors(
-        seq_proto(ChooseP(SendP(A), RecvP(A)), OfferP(RecvP(g.OVEN), SendP(A)))
-    )
-    inputs = laws._inputs(boundary(seq_proto(*left), A, A, DONE), val, 4, 64, 0)
-    shapes = list(semantics.pval_enumerate(left, [None], val))
+    left = seq_proto(ChooseP(SendP(A), RecvP(A)), OfferP(RecvP(g.OVEN), SendP(A)))
+    inputs = laws._inputs(boundary(left, A, A, DONE), val, 4, 64, 0)
+    steps = proto_steps(left)
+    shapes = list(semantics.pval_enumerate(steps, [None], val))
     assert len(inputs) == 2 * len(shapes) == 2 * (2 * 3) * (3 * 3)
-    shown = [(semantics.pval_show(pv, left), a) for pv, a in inputs]
+    shown = [(semantics.pval_show(pv, steps), a) for pv, a in inputs]
     for text, _ in shown:
         labels = re.findall(r"\bu\d+\b", text)
         assert sorted(labels) == sorted(f"u{i}" for i in range(len(labels)))
@@ -170,46 +169,29 @@ def test_enumerated_inputs_label_each_shape_once(bakery):
     assert len(unlabelled) == len(inputs)
 
 
-def _structure(pv, protos):
-    """A walk of pv that names each ^x handle at its first visit and refers
-    back to it at a later one, with payloads renamed in order of first
-    appearance: equal for two environments drawn by rand_pval exactly when
-    they are equal up to renaming their payloads."""
-    out, handles, names = [], {}, {}
-    todo = [(pv, protos)]
-    while todo:
-        pv, protos = todo.pop()
-        if not protos:
-            out.append(("leaf", names.setdefault(pv, len(names))))
-            continue
-        head, rest = protos[0], protos[1:]
-        if isinstance(head, SendP):
-            out.append(("send", pv.value))
-            todo.append((pv.rest, rest))
-        elif isinstance(head, RecvP):
-            keys = sorted(pv.table, key=str)
-            out.append(("table", tuple(keys)))
-            todo += [(pv.table[k], rest) for k in reversed(keys)]
-        elif isinstance(head, StarXP) and id(pv) in handles:
-            out.append(("back", handles[id(pv)]))
-        elif isinstance(head, (ChooseP, StarXP)):
-            if isinstance(head, StarXP):
-                handles[id(pv)] = len(handles)
-            lp, rp = semantics.branches(head)
-            out.append(("pair",))
-            todo += [(pv.right, rp + rest), (pv.left, lp + rest)]
+def _observed_shape(pv, steps, depth):
+    """The observation of pv at `depth` with its payloads renamed 0, 1, ...
+    in order of first appearance.  rand_pval settles every ^x handle into a
+    cycle, its own next layer, after `depth` rounds, so observing one round
+    deeper sees every distinct layer: equal for two draws exactly when they
+    are equal up to renaming their payloads."""
+    seen, names, key = [], {}, None
+    semantics._observe(seen, pv, steps, max(depth, 0) + 1)
+    for i, t in enumerate(seen):
+        if type(t) is semantics._Mark:
+            key = t.key
+        elif key is not None:
+            key = None  # a sent value or a table key, not a payload
         else:
-            step = isinstance(pv, semantics.PInr)
-            out.append(("tag", step))
-            todo.append((pv.value, semantics.branches(head)[step] + rest))
-    return tuple(out)
+            seen[i] = names.setdefault(t, len(names))
+    return tuple(seen)
 
 
 @pytest.mark.parametrize("demo", sorted(p.name for p in DEMOS.glob("*.fcn")))
 def test_sampled_shape_key_is_exact(demo):
     # the law suite checks a sampled input only if no input of the same
     # shape key was checked before; the key must split the draws of every
-    # sampled check exactly as the structural walk does
+    # sampled check exactly as their observations one round deeper do
     doc = parse_document((DEMOS / demo).read_text())
     ctx = laws._Ctx(doc.sig, doc.val, EqConfig())
     bounds = {
@@ -220,14 +202,13 @@ def test_sampled_shape_key_is_exact(demo):
     shared = 0
     sampled = [b for b in bounds if laws._inputs(b, doc.val, 4, 0, 0) is None]
     for bound in sorted(sampled, key=str):
-        left = proto_factors(bound.left)
+        left = proto_steps(bound.left)
         for depth in (4, 0, -1):
             inputs = laws._inputs(bound, doc.val, depth, 64, laws.DEFAULT_SEED)
-            # the key _check gives a draw at this depth
-            keys = [(semantics.pval_shape(pv, left, max(depth, 0) + 1), a)
-                    for pv, a in inputs]
-            walks = [(_structure(pv, left), a) for pv, a in inputs]
-            assert [keys.index(k) for k in keys] == [walks.index(w) for w in walks]
+            # the key _check gives a draw
+            keys = [(semantics.pval_shape(pv, left), a) for pv, a in inputs]
+            seen = [(_observed_shape(pv, left, depth), a) for pv, a in inputs]
+            assert [keys.index(k) for k in keys] == [seen.index(o) for o in seen]
             shared += len(keys) - len(set(keys))
     assert shared > 0
 

@@ -8,6 +8,13 @@ from fcn import signature as sg
 from fcn.cells import HComp, IdH, Pi0, infer_boundary
 from fcn.errors import BoundaryMismatch
 from fcn.protocol import (
+    CHOOSE,
+    END,
+    LOOP_P,
+    LOOP_X,
+    OFFER,
+    RECV,
+    SEND,
     ChooseP,
     DONE,
     OfferP,
@@ -19,6 +26,7 @@ from fcn.protocol import (
     normalize_proto,
     proto_equal,
     proto_factors,
+    proto_steps,
     seq_proto,
 )
 from fcn.semantics import pval_enumerate, pval_show
@@ -173,11 +181,54 @@ def test_sequence_does_not_distribute_over_branch():
         before = seq_proto(branch(u, w), v)
         after = branch(seq_proto(u, v), seq_proto(w, v))
         assert not proto_equal(before, after)
-        envs = list(pval_enumerate(proto_factors(before), ["x"], val))
-        assert [pval_show(e, proto_factors(before)) for e in envs] == [
-            pval_show(e, proto_factors(after)) for e in envs
+        envs = list(pval_enumerate(proto_steps(before), ["x"], val))
+        assert [pval_show(e, proto_steps(before)) for e in envs] == [
+            pval_show(e, proto_steps(after)) for e in envs
         ]
     pick = Pi0(seq_proto(u, v), seq_proto(w, v))
     infer_boundary(HComp(IdH(ChooseP(seq_proto(u, v), seq_proto(w, v))), pick), sig)
     with pytest.raises(BoundaryMismatch):
         infer_boundary(HComp(IdH(seq_proto(ChooseP(u, w), v)), pick), sig)
+
+
+# ---------------------------------------------------------------------------
+# Step chains: the walkers' view of a factor list
+
+
+@given(protos)
+def test_steps_follow_the_factor_list(p):
+    steps = proto_steps(p)
+    assert proto_steps(p) is steps  # built once per protocol object
+    node, heads = steps, []
+    while node is not END:
+        assert node.factors == proto_factors(p)[len(heads):]
+        heads.append(node.head)
+        node = node.rest
+    assert tuple(heads) == proto_factors(p)
+
+
+def test_a_loop_step_returns_to_the_loop_node():
+    for star in (StarXP, StarPP):
+        loop = star(seq_proto(SEND_A, RECV_B))
+        steps = proto_steps(seq_proto(RECV_B, loop, SEND_A))
+        node = steps.rest
+        assert node.kind == (LOOP_X if star is StarXP else LOOP_P)
+        stop, step = node.sides
+        assert stop is node.rest and stop.head == SEND_A
+        assert (step.kind, step.rest.kind) == (SEND, RECV)
+        assert step.rest.rest is node  # a finite graph, not an unrolling
+        assert step.factors == (SEND_A, RECV_B) + node.factors
+        assert node.sides is node.sides  # built once, on first read
+        body, alone = node.parts
+        assert body is proto_steps(loop.body) and alone is proto_steps(loop)
+        assert alone.rest is END
+
+
+def test_branch_sides_end_with_the_rest():
+    for branch, kind in ((ChooseP, CHOOSE), (OfferP, OFFER)):
+        steps = proto_steps(seq_proto(branch(SEND_A, seq_proto(RECV_B, SEND_A)), RECV_B))
+        assert steps.kind == kind
+        left, right = steps.sides
+        assert left.factors == (SEND_A, RECV_B) and left.rest is steps.rest
+        assert right.factors == (RECV_B, SEND_A, RECV_B) and right.rest.rest is steps.rest
+        assert [part.factors for part in steps.parts] == [(SEND_A,), (RECV_B, SEND_A)]

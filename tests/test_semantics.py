@@ -36,7 +36,7 @@ from fcn.protocol import (
     SendP,
     StarPP,
     StarXP,
-    proto_factors,
+    proto_steps,
     seq_proto,
 )
 from fcn.semantics import (
@@ -105,8 +105,8 @@ def test_vcomp_threads_protocols(interp):
 
 def test_pval_enumerate_counts(bakery):
     _, val = bakery
-    assert len(list(pval_enumerate(proto_factors(SendP(A)), [RYE], val))) == 2
-    protos = proto_factors(seq_proto(SendP(A), RecvP(A)))
+    assert len(list(pval_enumerate(proto_steps(SendP(A)), [RYE], val))) == 2
+    protos = proto_steps(seq_proto(SendP(A), RecvP(A)))
     pvals = list(pval_enumerate(protos, [RYE, WHEAT], val))
     # 2 sent values, times one payload choice per entry of the receive table
     assert len(pvals) == 2 * (2 * 2)
@@ -114,7 +114,7 @@ def test_pval_enumerate_counts(bakery):
 
 def test_pval_enumerate_done(bakery):
     _, val = bakery
-    assert list(pval_enumerate((), [RYE, WHEAT], val)) == [RYE, WHEAT]
+    assert list(pval_enumerate(proto_steps(DONE), [RYE, WHEAT], val)) == [RYE, WHEAT]
 
 
 def test_pval_enumerate_refuses_a_loop_first(bakery, monkeypatch):
@@ -126,7 +126,7 @@ def test_pval_enumerate_refuses_a_loop_first(bakery, monkeypatch):
         raise AssertionError(f"{obj} enumerated after a loop")
 
     monkeypatch.setattr(semantics, "enumerate_values", enumerated)
-    protos = proto_factors(seq_proto(StarPP(SendP(A)), RecvP(A)))
+    protos = proto_steps(seq_proto(StarPP(SendP(A)), RecvP(A)))
     with pytest.raises(NotEnumerable):
         list(pval_enumerate(protos, [RYE], val))
 
@@ -137,7 +137,7 @@ def test_pval_equal_depth_cutoff(interp):
     store = g.memory
     swap = VComp(PutR(A), VComp(GetR(A), Promote(g.SWAP_DOUGH)))
     other = g.IterX(swap, IdV(A), g.IdH(g.DONE))
-    protos = proto_factors(StarXP(seq_proto(SendP(A), RecvP(A))))
+    protos = proto_steps(StarXP(seq_proto(SendP(A), RecvP(A))))
     p = interp.apply(store, None, RYE)
     q = interp.apply(other, None, RYE)
     assert pval_equal(p, q, protos, depth=1)
@@ -146,7 +146,7 @@ def test_pval_equal_depth_cutoff(interp):
 
 def test_pval_show_shapes(interp):
     pv = interp.apply(PutR(A), None, RYE)
-    shown = pval_show(pv, proto_factors(SendP(A)))
+    shown = pval_show(pv, proto_steps(SendP(A)))
     assert "ryedough" in shown
 
 
@@ -163,7 +163,7 @@ def test_lazy_pair_runs_its_thunk_once():
 
     # a handle that is its own next layer
     pv = PPair.lazy(side("stop", lambda: "stop"), side("step", lambda: PSend(RYE, pv)))
-    protos = proto_factors(StarXP(SendP(A)))
+    protos = proto_steps(StarXP(SendP(A)))
     assert calls == []
     assert pv.right.rest is pv and pv.right.rest is pv and calls == ["step"]
     assert pv.left == "stop" and pv.left == "stop"
@@ -279,7 +279,7 @@ NESTED_SHAPES = [
 
 @pytest.mark.parametrize("name, proto, rows", NESTED_SHAPES, ids=[n for n, _, _ in NESTED_SHAPES])
 def test_walkers_on_nested_shapes(interp, name, proto, rows):
-    protos = proto_factors(proto)
+    protos = proto_steps(proto)
     for depth, (want_shown, want_eq) in enumerate(rows):
         rng = random.Random(f"{name}/{depth}")
         mk = lambda: rng.choice(("x0", "x1"))
@@ -304,7 +304,7 @@ AGREEMENT_SHAPES = [
 
 @pytest.mark.parametrize("name, proto", AGREEMENT_SHAPES, ids=[n for n, _ in AGREEMENT_SHAPES])
 def test_equal_exactly_when_shown_alike(interp, name, proto):
-    protos = proto_factors(proto)
+    protos = proto_steps(proto)
     rng = random.Random(f"agree/{name}")
     mk = lambda: rng.choice(("x0", "x1"))
     for _ in range(60):
@@ -318,7 +318,7 @@ def test_equal_exactly_when_shown_alike(interp, name, proto):
 def test_sampled_input_does_not_depend_on_reading_order(interp):
     # an input is drawn in full when it is sampled, so reading its handles
     # beneath before the ones above changes nothing
-    protos = proto_factors(StarXP(seq_proto(SendP(A), StarXP(SendP(OVEN)))))
+    protos = proto_steps(StarXP(seq_proto(SendP(A), StarXP(SendP(OVEN)))))
     for seed in range(10):
         shown = []
         for deep_first in (False, True):
@@ -344,7 +344,7 @@ def _tag(leaf):
 def _assert_fused(interp, c, rng, tries=3):
     """Compare the fused and the mapped application on random inputs."""
     b = infer_boundary(c, interp.sig)
-    left, right = proto_factors(b.left), proto_factors(b.right)
+    left, right = proto_steps(b.left), proto_steps(b.right)
     counter = itertools.count()
     for _ in range(tries):
         pv = rand_pval(rng, left, lambda: f"p{next(counter)}", interp.val, 3)
@@ -403,7 +403,7 @@ def _collapse(label):
 
 def _assert_natural(interp, c, rng, tries=3):
     b = infer_boundary(c, interp.sig)
-    left, right = proto_factors(b.left), proto_factors(b.right)
+    left, right = proto_steps(b.left), proto_steps(b.right)
     counter = itertools.count()
     for _ in range(tries):
         pv = rand_pval(rng, left, lambda: f"u{next(counter)}", interp.val, 3)
@@ -452,6 +452,37 @@ def test_ill_typed_value_raised_at_apply(interp, cell, pv, a):
         interp.apply(cell, pv, a)
 
 
+def test_each_interp_runs_its_own_valuation(bakery):
+    # a cell compiled by one Interp is compiled again by another: no
+    # closure carries one valuation's morphisms into the other's runs
+    sig, val = bakery
+    same = {RYE: RYE, WHEAT: WHEAT}
+    other = dataclasses.replace(val, mor_maps={**val.mor_maps, "swapdough": same})
+    cell = VComp(Promote(g.SWAP_DOUGH), PutR(A))
+    swapping, keeping = Interp(sig, val), Interp(sig, other)
+    for _ in range(2):
+        assert swapping.apply(cell, None, RYE) == PSend(WHEAT, (None, sg.UNITV))
+        assert keeping.apply(cell, None, RYE) == PSend(RYE, (None, sg.UNITV))
+
+
+def test_a_shared_subterm_compiles_once(bakery, monkeypatch):
+    compiled = []
+    promote = semantics._COMPILE[Promote]
+
+    def counting(interp, c):
+        compiled.append(c)
+        return promote(interp, c)
+
+    monkeypatch.setitem(semantics._COMPILE, Promote, counting)
+    swap = Promote(g.SWAP_DOUGH)
+    cell = VComp(VComp(swap, swap), Times(swap, swap))
+    interp = Interp(*bakery)
+    for a, b in ((RYE, WHEAT), (WHEAT, RYE)):
+        pv = interp.apply(cell, None, a)
+        assert (pv.left, pv.right) == ((None, b), (None, b))
+    assert len(compiled) == 1 and compiled[0] is swap
+
+
 def test_times_runs_each_branch_when_read(interp):
     # the second branch wants a tagged input; Times runs it only once
     # somebody reads that branch
@@ -473,13 +504,13 @@ def test_times_runs_each_branch_when_read(interp):
 def test_walkers_reject_wrong_shapes(walk):
     # a table where a send belongs, and a send where a table belongs
     cases = [
-        (PTable({RYE: 1}), (SendP(A),)),
-        (PSend(RYE, 1), (RecvP(A),)),
-        (PSend(RYE, PTable({RYE: 1})), (SendP(A), SendP(A))),
+        (PTable({RYE: 1}), SendP(A)),
+        (PSend(RYE, 1), RecvP(A)),
+        (PSend(RYE, PTable({RYE: 1})), seq_proto(SendP(A), SendP(A))),
     ]
-    for pv, protos in cases:
+    for pv, proto in cases:
         with pytest.raises(IllTypedValue):
-            walk(pv, protos)
+            walk(pv, proto_steps(proto))
 
 
 # ---------------------------------------------------------------------------
@@ -495,7 +526,7 @@ def test_pending_map_runs_once_per_leaf():
         return x.upper()
 
     pv = PSend(RYE, PTable({RYE: "x0", WHEAT: "x1"}))
-    protos = proto_factors(seq_proto(SendP(A), RecvP(A)))
+    protos = proto_steps(seq_proto(SendP(A), RecvP(A)))
     mapped = pval_map(pv, protos, fn)
     assert calls == []
     shown = pval_show(mapped, protos)
@@ -507,7 +538,7 @@ def test_pending_map_runs_once_per_leaf():
 
 @pytest.mark.parametrize("name, proto, rows", NESTED_SHAPES, ids=[n for n, _, _ in NESTED_SHAPES])
 def test_stacked_maps_show_as_one_composed_map(interp, name, proto, rows):
-    protos = proto_factors(proto)
+    protos = proto_steps(proto)
     f, g2 = str.upper, lambda x: x + "!"
     for depth in range(len(rows)):
         for read_first in (False, True):
@@ -530,9 +561,9 @@ def test_prefix_map_keeps_its_leaves():
     # over the prefix !dough of !dough . !dough the leaves are environments
     # over the second !dough, so the second map must not compose with the
     # first: it is handed those environments, not their payloads
-    one = (SendP(A),)
+    one, two = proto_steps(SendP(A)), proto_steps(seq_proto(SendP(A), SendP(A)))
     pv = PSend(RYE, PSend(WHEAT, "x"))
-    mapped = pval_map(pv, one + one, str.upper)
+    mapped = pval_map(pv, two, str.upper)
     prefix = pval_map(mapped, one, lambda inner: pval_show(inner, one))
     assert pval_show(prefix, one) == "(ryedough, (wheatdough, X))"
 
@@ -541,7 +572,7 @@ def test_prefix_map_keeps_its_leaves():
 def test_deep_environments_are_observed(layers):
     # a (!dough)^p environment of `layers` steps, shown and compared past
     # the recursion limit; q differs from p only in its innermost send
-    protos = proto_factors(StarPP(SendP(A)))
+    protos = proto_steps(StarPP(SendP(A)))
     p = q = PInl("end")
     for i in range(layers):
         p = PInr(PSend(RYE, p))
@@ -553,7 +584,7 @@ def test_deep_environments_are_observed(layers):
 
 
 def test_stacked_maps_read_under_the_recursion_limit():
-    protos = proto_factors(seq_proto(SendP(A), RecvP(A)))
+    protos = proto_steps(seq_proto(SendP(A), RecvP(A)))
     pv = PSend(RYE, PTable({RYE: 0, WHEAT: 1}))
     for _ in range(5000):
         pv = pval_map(pv, protos, lambda x: x + 1)

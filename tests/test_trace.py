@@ -6,9 +6,10 @@ import pytest
 import goldens as g
 from fcn import semantics
 from fcn import signature as sg
-from fcn.cells import GetL, GetR, HComp, Promote, PutR, Times, VComp
+from fcn.cells import GetL, GetR, HComp, IdH, Promote, PutR, Times, VComp
 from fcn.errors import IllTypedValue, ScriptOverrun, ScriptUnderrun, WrongMove
 from fcn.parser import parse_document
+from fcn.protocol import RecvP, SendP, StarXP, proto_steps, seq_proto
 from fcn.semantics import Interp
 from fcn.trace import ContinueMove, PickMove, RecvMove, StopMove, run_trace
 
@@ -279,3 +280,32 @@ def test_mealy_trace_layers_grow_linearly(monkeypatch):
         assert len(events) == 2 * n + 2 and events[-1] == "result s0"
         counts.append(built)
     assert counts[1] <= 5 * counts[0], counts
+
+
+def test_a_cut_off_handle_builds_no_layer(monkeypatch):
+    # the observation cuts a ^x handle off at depth 0 before it resolves a
+    # pending map over it, so no layer of the map is built
+    steps = proto_steps(StarXP(SendP(A)))
+    handle = semantics.PPair("x", None)
+    handle.right = semantics.PSend(RYE, handle)
+    mapped = semantics.pval_map(handle, steps, str.upper)
+    shown, built = _layers_built(monkeypatch, lambda: semantics.pval_show(mapped, steps, 0))
+    assert (shown, built) == ("#handle", 0)
+    shown, built = _layers_built(monkeypatch, lambda: semantics.pval_show(mapped, steps, 1))
+    assert shown == "<X, (ryedough, #handle)>" and built > 0
+
+
+def test_silent_maps_over_equal_lists_compose(monkeypatch):
+    # each IdH has its own protocol object, and so its own step chain; the
+    # maps still compose, since their factor lists are equal: 7 layers,
+    # where maps that did not compose would build a layer per map per level
+    sig, val = g.bakery_signature()
+    protos = [seq_proto(SendP(A), RecvP(A)) for _ in range(4)]
+    assert protos[0] == protos[3] and protos[0] is not protos[3]
+    cell = HComp(IdH(protos[0]), HComp(IdH(protos[1]), HComp(IdH(protos[2]), IdH(protos[3]))))
+    pv = semantics.PSend(RYE, semantics.PTable({RYE: "x", WHEAT: "y"}))
+    interp = Interp(sig, val)
+    run = lambda: semantics.pval_show(interp.apply(cell, pv, sg.UNITV), proto_steps(protos[3]))
+    shown, built = _layers_built(monkeypatch, run)
+    assert shown == "(ryedough, {ryedough -> (x, ()), wheatdough -> (y, ())})"
+    assert built == 7

@@ -1,10 +1,11 @@
 """Mutation check of the law suite against the interpreter.
 
-Applies each interpreter mutant of src/fcn/semantics.py to a temporary copy
-of the repository and runs the law suite (`fcn laws`, which calls
-`run_laws`) on demos/bakery.fcn there.  Every mutant must give at least one
-`fail` or `error` row; the unmutated copy must pass every law.  Exits 1 if
-a mutant survives, ends without a report, or no longer applies.
+Applies each interpreter mutant, of a compiled cell rule in
+src/fcn/semantics.py or of the step nodes in src/fcn/protocol.py, to a
+temporary copy of the repository and runs the law suite (`fcn laws`, which
+calls `run_laws`) on demos/bakery.fcn there.  Every mutant must give at
+least one `fail` or `error` row; the unmutated copy must pass every law.
+Exits 1 if a mutant survives, ends without a report, or no longer applies.
 
     python3 tools/interp_mutants.py
 """
@@ -18,32 +19,44 @@ import tempfile
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SEMANTICS = pathlib.Path("src", "fcn", "semantics.py")
+PROTOCOL = pathlib.Path("src", "fcn", "protocol.py")
 
-# name -> (text in semantics.py, its replacement); each text occurs once
+# name -> (file, text in it, its replacement); each text occurs once
 MUTANTS = {
     "Plus takes the wrong arm": (
-        "branch = c.a if isinstance(tagged, PInl) else c.b",
-        "branch = c.b if isinstance(tagged, PInl) else c.a",
+        SEMANTICS,
+        "branch = run_a if type(tagged) is PInl else run_b",
+        "branch = run_b if type(tagged) is PInl else run_a",
     ),
     "CopairC takes its left arm on InrV": (
-        "return self.apply(c.b, pv, a.value, k)",
-        "return self.apply(c.a, pv, a.value, k)",
+        SEMANTICS,
+        "return run_b(pv, a.value, k)",
+        "return run_a(pv, a.value, k)",
     ),
     "HComp splits by c.a's bottom": (
-        "len(obj_factors(infer_boundary(c.a, self.sig).top))",
-        "len(obj_factors(infer_boundary(c.a, self.sig).bottom))",
+        SEMANTICS,
+        "len(obj_factors(infer_boundary(c.a, interp.sig).top))",
+        "len(obj_factors(infer_boundary(c.a, interp.sig).bottom))",
     ),
     "Pi0 maps over c.right": (
-        "_map_unit(expect(pv, PPair).left, c.left, k)",
-        "_map_unit(expect(pv, PPair).left, c.right, k)",
+        SEMANTICS,
+        'Pi0: _compile_silent("left",',
+        'Pi0: _compile_silent("right",',
     ),
     "Inj1 maps over c.left": (
-        "PInr(_map_unit(pv, c.right, k))",
-        "PInr(_map_unit(pv, c.left, k))",
+        SEMANTICS,
+        'Inj1: _compile_silent("right",',
+        'Inj1: _compile_silent("left",',
     ),
     "IterX's stop reads the first input": (
-        "PPair.lazy(lambda: self.apply(c.f, state, inp, k), layer)",
-        "PPair.lazy(lambda: self.apply(c.f, state, a, k), layer)",
+        SEMANTICS,
+        "lambda: run_f(state, inp, k),",
+        "lambda: run_f(state, a, k),",
+    ),
+    "a loop's step skips the loop": (
+        PROTOCOL,
+        "_chain(proto_factors(head.body), self)",
+        "_chain(proto_factors(head.body), self.rest)",
     ),
 }
 
@@ -67,7 +80,6 @@ def run_laws(copy):
 
 
 def main():
-    source = (ROOT / SEMANTICS).read_text()
     survivors = 0
     with tempfile.TemporaryDirectory() as tmp:
         copy = pathlib.Path(tmp)
@@ -79,13 +91,15 @@ def main():
         print(f"{'unmutated':<36} {'pass' if passed else 'FAIL'}  {summary}")
         if not passed:
             return 1
-        for name, (old, new) in MUTANTS.items():
+        for name, (path, old, new) in MUTANTS.items():
+            source = (ROOT / path).read_text()
             if source.count(old) != 1:
                 print(f"{name:<36} NOT APPLIED  {old!r} occurs {source.count(old)}x")
                 survivors += 1
                 continue
-            (copy / SEMANTICS).write_text(source.replace(old, new))
+            (copy / path).write_text(source.replace(old, new))
             bad, summary = run_laws(copy)
+            (copy / path).write_text(source)
             killed = bool(bad)
             print(f"{name:<36} {'killed' if killed else 'SURVIVED'}  {summary}"
                   + (f": {', '.join(bad)}" if killed else ""))
