@@ -29,7 +29,7 @@ from .errors import BoundaryMismatch, FcnError, NotEnumerable
 from .protocol import proto_steps
 from . import signature as sg
 from .cells import Cell, boundaries_equal, infer_boundary
-from .parser import CellDecl, Document, parse_term
+from .parser import Document, bind, parse_term
 from .semantics import (
     _ENUM_CAP, Interp, pval_enumerate, pval_equal, pval_label, pval_map, pval_shape,
 )
@@ -157,7 +157,12 @@ class _Ctx:
         return random.Random(f"{self.cfg.seed}:{law}")
 
 
-def _law_result(ctx: _Ctx, law: str, checks) -> LawResult:
+def _law_result(ctx: _Ctx, law: str, build) -> LawResult:
+    try:
+        checks = build(ctx, law)
+    except FcnError as exc:
+        # an instance that cannot be built, such as an ill-typed cell
+        return LawResult(law, "fail", 0, f"build: {type(exc).__name__}: {exc}")
     ran = 0
     skipped = 0
     for i, check in enumerate(checks):
@@ -185,34 +190,13 @@ def _law_result(ctx: _Ctx, law: str, checks) -> LawResult:
 #
 # A law written as text is a list of rows (equations, domain) or (equations,
 # domain, cap).  Each equation `cell = cell` is read in the surface syntax
-# once per binding of the row's metavariables, in the order the domain lists
-# them: a list of bindings, or a function (ctx, law) that generates one.  A
-# binding maps each metavariable to a term, or to a text read after the
-# metavariables before it.  The metavariable o is an object, U, P and Q are
-# protocols, and any other name is a cell c, whose boundary parts are bound
-# as cL, cT, cB and cR.  a and b always name two objects of the signature.
-
-_READERS = {"o": "obj", "U": "proto", "P": "proto", "Q": "proto"}
+# once per binding of the row's metavariables (`parser.bind`), in the order
+# the domain lists them: a list of bindings, or a function (ctx, law) that
+# generates one.  a and b always name two objects of the signature.
 
 
 def _bind(ctx, binding) -> Document:
-    """A document over ctx's signature whose names are the metavariables
-    of the binding."""
-    doc = Document(ctx.sig, ctx.val, aliases={"a": ctx.a, "b": ctx.b})
-    for name, term in binding.items():
-        kind = _READERS.get(name, "cell")
-        if isinstance(term, str):
-            term = parse_term(term, kind, doc)
-        if kind == "obj":
-            doc.aliases[name] = term
-        elif kind == "proto":
-            doc.protocols[name] = term
-        else:
-            bnd = infer_boundary(term, ctx.sig)
-            doc.cells[name] = CellDecl(name, bnd, term)
-            doc.protocols[name + "L"], doc.protocols[name + "R"] = bnd.left, bnd.right
-            doc.aliases[name + "T"], doc.aliases[name + "B"] = bnd.top, bnd.bottom
-    return doc
+    return bind(ctx.sig, ctx.val, binding, {"a": ctx.a, "b": ctx.b})
 
 
 def _eqs(*rows):
@@ -489,5 +473,5 @@ def run_laws(sig: sg.Signature, val: sg.Valuation, cfg: EqConfig = None, names=N
         picked = LAWS
     ctx = _Ctx(sig, val, cfg)
     return [
-        _law_result(ctx, name, build(ctx, name)) for name, build in sorted(picked)
+        _law_result(ctx, name, build) for name, build in sorted(picked)
     ]

@@ -18,15 +18,19 @@ literals: `()`, atom names, `(v1, v2)`, `inl v`, `inr v`, `[v1, v2]`.
 Cell terms: `[f]` promotes a base morphism, `a | b` and `a / b` are the
 two composites (`/` binds tighter), and a bare name refers to a previously
 declared cell.  Every other cell former is a word in `CELL_WORDS`, every
-morphism former a word in `signature.MOR_WORDS`.  The macros expand to
-`derived` cells: `deltaX{U}`, `nablaP{U}`, `epsX{U}`, `dX{U}`, `etaP{U}`
-and `muP{U}` (`_PROTO_MACROS`), `iterXs(a)` and `iterPs(a)`
-(`_CELL_MACROS`), `cross{U, A}`, `tensor(a, b)` and `sendword{A}[v1, ...]`.
+morphism former a word in `signature.MOR_WORDS`.  A derived cell that is
+one fixed term of its arguments is a word in `DEFINITIONS`, with its
+parameters and its text: `deltaX{U}`, `nablaP{U}`, `epsX{U}`, `dX{U}`,
+`etaP{U}`, `muP{U}`, `iterXs(c)`, `iterPs(c)` and `tensor(f, g)`.  The
+parser reads such a word's arguments, binds them to its parameters with
+`bind` and reads the text in their place.  `cross{U, A}` and
+`sendword{A}[v1, ...]` recurse on their argument, so `derived` builds them.
 No declaration may take one of these words, or `I`, `stack`, `send`, `recv`
 or `x`, as a name where the parser would read it as built in.
 
 `parse_term` reads one term of any kind against a document's names,
-including an equation `cell = cell`, as the law suite writes its laws.
+including an equation `cell = cell`, as the law suite writes its laws;
+`bind` makes the document whose names are a binding's metavariables.
 """
 
 from __future__ import annotations
@@ -50,6 +54,7 @@ from .protocol import (
     SendP,
     StarPP,
     StarXP,
+    normalize_proto,
     proto_factors,
     seq_proto,
 )
@@ -200,7 +205,7 @@ def parse_document(text: str) -> Document:
     p = _Parser(s, doc)
     while s.peek().kind != "eof":
         p.declaration()
-    _check_valuation(doc)
+    _check_valuation(doc, p.maps)
     return doc
 
 
@@ -213,6 +218,33 @@ def parse_term(text: str, kind: str, doc: Document = None):
     if s.peek().kind != "eof":
         s.fail(f"trailing input after {kind}")
     return term
+
+
+# A metavariable's reader: o, a and b are objects, U, P and Q protocols, and
+# any other name is a cell c, whose boundary parts are cL, cT, cB and cR.
+_READERS = {"o": "obj", "a": "obj", "b": "obj", "U": "proto", "P": "proto", "Q": "proto"}
+
+
+def bind(sig: sg.Signature, val: sg.Valuation, binding, aliases=None) -> Document:
+    """A document over sig and val whose names are the given object aliases
+    and the metavariables of the binding.  Each metavariable is bound, in
+    the binding's order, to a term, normalized if it is an object or a
+    protocol, or to a text read against the names bound before it."""
+    doc = Document(sig, val, aliases=dict(aliases or {}))
+    for name, term in binding.items():
+        kind = _READERS.get(name, "cell")
+        if isinstance(term, str):
+            term = parse_term(term, kind, doc)
+        if kind == "obj":
+            doc.aliases[name] = sg.normalize_obj(term)
+        elif kind == "proto":
+            doc.protocols[name] = normalize_proto(term)
+        else:
+            bnd = infer_boundary(term, sig)
+            doc.cells[name] = CellDecl(name, bnd, term)
+            doc.protocols[name + "L"], doc.protocols[name + "R"] = bnd.left, bnd.right
+            doc.aliases[name + "T"], doc.aliases[name + "B"] = bnd.top, bnd.bottom
+    return doc
 
 
 def parse_value(text: str) -> sg.Value:
@@ -244,6 +276,7 @@ class _Parser:
     def __init__(self, s: _Stream, doc: Document):
         self.s = s
         self.doc = doc
+        self.maps = {}  # morphism name -> the `map` token of its table
 
     # -- declarations -------------------------------------------------------
 
@@ -278,6 +311,7 @@ class _Parser:
                     break
             s.expect("}")
             self.doc.val.mor_maps[name] = table
+            self.maps[name] = t
         elif t.text == "protocol":
             name = self.name("a protocol name", _PROTO_WORDS).text
             s.expect("=")
@@ -549,14 +583,14 @@ class _Parser:
         word = t.text
         if word in CELL_WORDS:
             return self.former(CELL_WORDS[word])
-        if word in _PROTO_MACROS:
-            return _PROTO_MACROS[word](*self.args("{,}", ("proto",)))
-        if word in _CELL_MACROS:
-            return _CELL_MACROS[word](*self.args("(,)", ("cell",)), self.doc.sig)
+        if word in DEFINITIONS:
+            params, text = DEFINITIONS[word]
+            kinds = [_READERS.get(p, "cell") for p in params]
+            args = self.args("{,}" if kinds[0] == "proto" else "(,)", kinds)
+            doc = bind(self.doc.sig, self.doc.val, dict(zip(params, args)))
+            return parse_term(text, "cell", doc)
         if word == "cross":
             return dv.crossing(*self.args("{,}", ("proto", "obj")))
-        if word == "tensor":
-            return dv.tensor_cells(*self.args("(,)", ("cell", "cell")), self.doc.sig)
         if word == "sendword":
             (a,) = self.args("{,}", ("obj",))
             s.expect("[")
@@ -598,24 +632,29 @@ CELL_WORDS = {
 }
 _CELL_WORD = {cls: word for word, cls in CELL_WORDS.items()}
 
-# Macros: a word and the `derived` function its argument expands by.
-_PROTO_MACROS = {
-    "deltaX": dv.dup_x,
-    "nablaP": dv.merge_p,
-    "epsX": dv.extract_x,
-    "dX": dv.duplicate_x,
-    "etaP": dv.insert_p,
-    "muP": dv.flatten_p,
+# Derived cells: a word, its parameters (metavariables, see `bind`) and the
+# text it stands for.  Protocol arguments go in `{U}`, cells in `(c)`.
+DEFINITIONS = {
+    # the comonoid and comonad of U^x, read as its unrolling I x (U * U^x)
+    "deltaX": (("U",), "iterX(id U; id (U^x); pi1{I, U * U^x})"),
+    "epsX": (("U",), "pi1{I, U * U^x} | (id U / pi0{I, U * U^x})"),
+    "dX": (("U",), "iterX(id (U^x); pi0{I, U * U^x}; deltaX{U})"),
+    # the monoid and monad of U^+, read as its unrolling I + (U * U^+)
+    "nablaP": (("U",), "iterP(id U; id (U^+); in1{I, U * U^+})"),
+    "etaP": (("U",), "(id U / in0{I, U * U^+}) | in1{I, U * U^+}"),
+    "muP": (("U",), "iterP(id (U^+); in0{I, U * U^+}; nablaP{U})"),
+    # c replayed once per round of a loop on its left or on its right
+    "iterXs": (("c",), "iterX(c; pi0{I, cL * cL^x} | 1 cT; pi1{I, cL * cL^x})"),
+    "iterPs": (("c",), "iterP(c; 1 cT | in0{I, cR * cR^+}; in1{I, cR * cR^+})"),
+    # f and g side by side, each crossing the other's protocol
+    "tensor": (("f", "g"), "(f | cross{fR, gT}) / (cross{gL, fB} | g)"),
 }
-_CELL_MACROS = {"iterXs": dv.simple_iter_x, "iterPs": dv.simple_iter_p}
 
 # Words a declaration may not take as its name: where the name is used, the
-# parser reads them as built-in objects, protocols, formers or macros.
+# parser reads them as built-in objects, protocols, formers or definitions.
 _OBJ_WORDS = {"I", "stack"}
 _PROTO_WORDS = {"I", "send", "recv", "x"}
-_CELL_NAME_WORDS = {
-    *CELL_WORDS, *_PROTO_MACROS, *_CELL_MACROS, "cross", "tensor", "sendword"
-}
+_CELL_NAME_WORDS = {*CELL_WORDS, *DEFINITIONS, "cross", "sendword"}
 
 # a field's annotation -> the `_Parser` method that reads it
 _KINDS = {
@@ -686,26 +725,24 @@ _SHOW = {
 }
 
 
-def _check_valuation(doc: Document):
+def _check_valuation(doc: Document, maps: dict):
     """Morphism tables must be total on enumerable domains and land in the
-    codomain."""
+    codomain; an error points at the table's `map` token in maps."""
     for name, (dom, cod) in doc.sig.morphisms.items():
         table = doc.val.mor_maps.get(name)
         if table is None:
             continue
+        at = maps[name]
+        fail = lambda msg: ParseError(f"map {name}: {msg}", line=at.line, column=at.col)
         for key, out in table.items():
             if not sg.check_value(key, dom, doc.val):
-                raise ParseError(
-                    f"map {name}: input {key} does not fit {dom}"
-                )
+                raise fail(f"input {key} does not fit {dom}")
             if not sg.check_value(out, cod, doc.val):
-                raise ParseError(
-                    f"map {name}: output {out} does not fit {cod}"
-                )
+                raise fail(f"output {out} does not fit {cod}")
         try:
             domain = list(sg.enumerate_values(dom, doc.val))
         except NotEnumerable:
             continue
         for v in domain:
             if v not in table:
-                raise ParseError(f"map {name}: missing entry for {v}")
+                raise fail(f"missing entry for {v}")

@@ -22,8 +22,8 @@ the leaves they build, and a composite folds its own post-processing (the
 lower cell of a vertical composite, the tensor of two bottom outputs, the
 next layer of a loop handle) into the continuation it hands its parts, so
 no output is walked twice.  Only the fold of a left-driven loop maps over
-its body's output, to reach the tower beneath.  Each `Interp` compiles a
-cell on its first application into a closure that calls its parts'
+its body's output, to reach the tower beneath.  Each application compiles
+its cell, a shared subterm once, into a closure that calls its parts'
 closures directly and holds what the rule needs of the cell's boundary
 (Feeley & Lapalme, *Using Closures for Code Generation*, 1987).
 
@@ -282,13 +282,12 @@ def _payload(leaf):
 class Interp:
     """Runs cells against a signature and a valuation of its generators.
 
-    Its compiled closures `run(pv, a, k)` are kept here, keyed by the cell's
-    id, and not on the cell, which would keep those of every Interp."""
+    Each application compiles its cell into closures `run(pv, a, k)`, kept
+    by node id for that compile only, while the cell keeps every id in use."""
 
     def __init__(self, sig: Signature, val: Valuation):
         self.sig, self.val = sig, val
-        self._runs = {}  # id(cell) -> its closure
-        self._cells = []  # the compiled cells, so that no id is reused
+        self._runs = None  # while apply compiles: id(node) -> its closure
 
     def apply(self, c: Cell, pv, a: Value, k=None):
         """Run cell c on a left environment pv and a top input a.
@@ -297,13 +296,15 @@ class Interp:
         pairs (incoming payload, bottom output value); k defaults to the
         identity.  Every rule builds its leaves through k.
         """
-        return self._run(c)(pv, a, k or _leaf)
+        self._runs = {}
+        run = self._run(c)
+        self._runs = None
+        return run(pv, a, k or _leaf)
 
     def _run(self, c):
         run = self._runs.get(id(c))
         if run is None:
             run = self._runs[id(c)] = _COMPILE[type(c)](self, c)
-            self._cells.append(c)
         return run
 
 

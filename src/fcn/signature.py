@@ -247,15 +247,23 @@ class Pop(MorExpr):
 
 @dataclass(frozen=True)
 class ConstMor(MorExpr):
-    """Constant morphism I -> obj, picking out a fixed element.
-
-    Not part of the surface syntax for signatures; used by synthesized cells
-    that need to emit a literal value (e.g. word senders).
-    """
+    """Constant morphism I -> obj, picking out a fixed element: `const(obj,
+    value)`, as word senders emit their letters."""
 
     obj: ObjExpr
     value: Value
 
+
+# distL, undistR and undistL are definitions: each takes its type and its
+# value from its expansion.
+_EXPANSIONS = {
+    UndistR: lambda a, b, c: Copair(TensorM(Inj0(a, b), Id(c)), TensorM(Inj1(a, b), Id(c))),
+    UndistL: lambda a, b, c: Copair(TensorM(Id(c), Inj0(a, b)), TensorM(Id(c), Inj1(a, b))),
+    DistL: lambda a, b, c: Compose(Compose(Braid(c, Sum(a, b)), DistR(a, b, c)), Copair(
+        Compose(Braid(a, c), Inj0(tensor_obj(c, a), tensor_obj(c, b))),
+        Compose(Braid(b, c), Inj1(tensor_obj(c, a), tensor_obj(c, b))),
+    )),
+}
 
 # The morphism formers by surface word.  `MorExpr.__str__` prints each one,
 # and the parser reads it back by its fields.
@@ -459,14 +467,11 @@ def infer_mor_type(m: MorExpr, sig: Signature):
         if c1 != c2:
             raise CompositionMismatch(c1, c2)
         return (Sum(d1, d2), c1)
-    if isinstance(m, (DistR, UndistR)):
+    if isinstance(m, DistR):
         a, b, c = (normalize_obj(x) for x in (m.a, m.b, m.c))
-        typ = (tensor_obj(Sum(a, b), c), Sum(tensor_obj(a, c), tensor_obj(b, c)))
-        return typ if isinstance(m, DistR) else typ[::-1]
-    if isinstance(m, (DistL, UndistL)):
-        a, b, c = (normalize_obj(x) for x in (m.a, m.b, m.c))
-        typ = (tensor_obj(c, Sum(a, b)), Sum(tensor_obj(c, a), tensor_obj(c, b)))
-        return typ if isinstance(m, DistL) else typ[::-1]
+        return (tensor_obj(Sum(a, b), c), Sum(tensor_obj(a, c), tensor_obj(b, c)))
+    if type(m) in _EXPANSIONS:
+        return infer_mor_type(_EXPANSIONS[type(m)](m.a, m.b, m.c), sig)
     if isinstance(m, Nil):
         e = normalize_obj(m.elem)
         return (UNIT, Stack(e))
@@ -531,28 +536,8 @@ def eval_mor(m: MorExpr, v: Value, val: Valuation, sig: Signature) -> Value:
         if isinstance(s, (InlV, InrV)):
             return type(s)(tensor_value(s.value, c))
         raise IllTypedValue(f"distR applied to {v}")
-    if isinstance(m, UndistR):
-        c_n = _num_factors(normalize_obj(m.c))
-        if isinstance(v, (InlV, InrV)):
-            parts = value_factors(v.value)
-            inner = tensor_value(*parts[: len(parts) - c_n])
-            c = tensor_value(*parts[len(parts) - c_n :])
-            return tensor_value(type(v)(inner), c)
-        raise IllTypedValue(f"undistR applied to {v}")
-    if isinstance(m, DistL):
-        parts = value_factors(v)
-        c, s = tensor_value(*parts[:-1]), parts[-1]
-        if isinstance(s, (InlV, InrV)):
-            return type(s)(tensor_value(c, s.value))
-        raise IllTypedValue(f"distL applied to {v}")
-    if isinstance(m, UndistL):
-        c_n = _num_factors(normalize_obj(m.c))
-        if isinstance(v, (InlV, InrV)):
-            parts = value_factors(v.value)
-            c = tensor_value(*parts[:c_n])
-            inner = tensor_value(*parts[c_n:])
-            return tensor_value(c, type(v)(inner))
-        raise IllTypedValue(f"undistL applied to {v}")
+    if type(m) in _EXPANSIONS:
+        return eval_mor(_EXPANSIONS[type(m)](m.a, m.b, m.c), v, val, sig)
     if isinstance(m, Nil):
         return ListV(())
     if isinstance(m, Push):

@@ -18,6 +18,7 @@ from fcn.derived import (
     simple_iter_x,
     sum_to_offer,
     tensor_cells,
+    word_sender,
 )
 from fcn.laws import cells_equal
 from fcn.protocol import (
@@ -148,3 +149,20 @@ def test_memory_cell_shape(bakery):
     assert infer_boundary(memory_cell(A), sig) == Boundary(
         DONE, A, A, StarXP(seq_proto(SendP(A), RecvP(A)))
     )
+
+
+def test_a_long_word_sender_shares_one_protocol_pair():
+    # built in a loop, under the default recursion limit; every stop and
+    # step of the sender holds the same two protocol objects
+    word = [sg.AtomV("ryedough"), sg.AtomV("wheatdough")] * 1000
+    c = word_sender(word, A)
+    injections, letters = [], 0
+    while isinstance(c, g.HComp):
+        injections.append(c.b)
+        c = c.a.b
+        letters += 1
+    injections.append(c)
+    assert letters == 2000
+    assert [type(i) for i in injections] == [g.Inj1] * 2000 + [g.Inj0]
+    assert len({id(i.left) for i in injections}) == 1
+    assert len({id(i.right) for i in injections}) == 1

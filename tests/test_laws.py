@@ -97,6 +97,22 @@ def test_raising_check_fails_its_law_only(bakery, monkeypatch):
     assert rows[1].status == "pass" and rows[1].instances > 0
 
 
+def test_a_law_that_cannot_be_built_fails_alone(bakery, monkeypatch):
+    # an ill-typed instance raises while the checks are built: its law
+    # gets a fail row and the others run
+    sig, val = bakery
+    (first, _), (second, _) = laws.LAWS[:2]
+
+    def build(ctx, law):
+        return laws._eqs((["c = c"], [{"c": "putR a | getL b"}]))(ctx, law)
+
+    monkeypatch.setattr(laws, "LAWS", [(first, build)] + laws.LAWS[1:])
+    rows = run_laws(sig, val, names=[first, second])
+    assert (rows[0].status, rows[0].instances) == ("fail", 0)
+    assert rows[0].detail.startswith("build: BoundaryMismatch: ")
+    assert rows[1].status == "pass" and rows[1].instances > 0
+
+
 def test_raising_engine_fault_is_an_error_row(bakery, monkeypatch):
     # a check that raises anything but an FcnError is a fault of the engine:
     # its law gets an error row naming the instance, and every other law runs

@@ -136,20 +136,27 @@ def test_parse_error_position():
     assert str(e.value) == "line 2:3: unexpected character '$'"
 
 
-def test_map_totality_checked():
-    with pytest.raises(ParseError):
+def map_error(table):
+    """The error of a one-line `mor f` and `map f` with the given table: it
+    points at the `map` declaration."""
+    with pytest.raises(ParseError) as e:
         parse_document(
-            "object a;\ncarrier a = { a0, a1 };\n"
-            "mor f : a -> a;\nmap f = { a0 -> a0; };"
+            f"object a;\ncarrier a = {{ a0, a1 }};\nmor f : a -> a; map f = {table};"
         )
+    return str(e.value), e.value.line, e.value.column
+
+
+def test_map_totality_checked():
+    assert map_error("{ a0 -> a0; }") == ("line 3:17: map f: missing entry for a1", 3, 17)
 
 
 def test_map_codomain_checked():
-    with pytest.raises(ParseError):
-        parse_document(
-            "object a;\ncarrier a = { a0 };\n"
-            "mor f : a -> a;\nmap f = { a0 -> zzz; };"
-        )
+    assert map_error("{ a0 -> zzz; a1 -> a0 }") == (
+        "line 3:17: map f: output zzz does not fit a", 3, 17
+    )
+    assert map_error("{ a0 -> a0; a1 -> a0; zz -> a0 }") == (
+        "line 3:17: map f: input zz does not fit a", 3, 17
+    )
 
 
 def test_duplicate_carrier_atoms_rejected():
@@ -277,11 +284,18 @@ def test_every_former_round_trips(table, word, cls):
     assert_round_trip(term)
 
 
+# sample arguments for a definition, by its parameters
+DEFINITION_ARGS = {
+    ("U",): "{send a * recv b}",
+    ("c",): "(putR a / getR a)",
+    ("f", "g"): "(getL a, [f] / putR b)",
+}
+
+
 @pytest.mark.parametrize(
     "text",
-    [f"{w}{{send a * recv b}}" for w in parser._PROTO_MACROS]
-    + [f"{w}(putR a / getR a)" for w in parser._CELL_MACROS]
-    + ["cross{(send a)^x, a * b}", "tensor(getL a, [f] / putR b)", "sendword{a}[a0, a1]"],
+    [f"{w}{DEFINITION_ARGS[params]}" for w, (params, _) in parser.DEFINITIONS.items()]
+    + ["cross{(send a)^x, a * b}", "sendword{a}[a0, a1]"],
 )
 def test_every_macro_round_trips(text):
     assert_round_trip(read_cell(text))
@@ -303,7 +317,7 @@ def test_malformed_former_errors(term, error):
 
 
 # Each declaration and the words it may not take as its name, read from the
-# syntax tables, so that a new former or macro word is covered as it lands.
+# syntax tables, so that a new former or definition is covered as it lands.
 RESERVED = (
     [("object", w) for w in ("I", "stack")]
     + [("carrier", w) for w in ("I", "stack")]
@@ -311,14 +325,7 @@ RESERVED = (
     + [("protocol", w) for w in ("I", "send", "recv", "x")]
     + [
         ("cell", w)
-        for w in (
-            *parser.CELL_WORDS,
-            *parser._PROTO_MACROS,
-            *parser._CELL_MACROS,
-            "cross",
-            "tensor",
-            "sendword",
-        )
+        for w in (*parser.CELL_WORDS, *parser.DEFINITIONS, "cross", "sendword")
     ]
 )
 DECLARATIONS = {

@@ -26,9 +26,11 @@ from fcn.cells import (
     PutR,
     Times,
     VComp,
+    boundaries_equal,
     infer_boundary,
 )
-from fcn.derived import crossing
+from fcn.derived import crossing, dup_x
+from fcn.errors import BoundaryMismatch
 from fcn.gen import gen_cell
 from fcn.laws import cells_equal
 from fcn.parser import parse_document
@@ -158,6 +160,49 @@ def test_loop_x_stop_and_step():
 def test_loop_p_step():
     r = rewrite(REDEXES["loop-p-step"], budget=1)
     assert r.result == HComp(VComp(RELAY.alpha, RELAY), RELAY.g)
+
+
+# Branches of a rule that the redexes above leave out, each pinned by the one
+# step it takes at the root.  Every part is in normal form.
+LOOP = seq_proto(SendP(A), StarXP(SendP(A)))
+BRANCH_STEPS = {
+    # the stop projection stacked over an id row: deltaX{send dough} stops
+    "stacked stop arm": (
+        HComp(dup_x(SendP(A)), VComp(Pi0(DONE, LOOP), IdH(StarXP(SendP(A))))),
+        "loop-x-stop",
+        IdH(StarXP(SendP(A))),
+    ),
+    # a send column against a bare receive
+    "bare getL": (HComp(g.kneader, GetL(A)), "snap-send-around", Promote(g.KNEAD)),
+    # a send column against a receive that heads a column
+    "getL heads a column": (
+        HComp(g.kneader, VComp(GetL(A), HComp(SWAP, GetR(B)))),
+        "snap-send-around",
+        VComp(Promote(g.KNEAD), HComp(SWAP, GetR(B))),
+    ),
+    # the unit on the right of a beside pair
+    "unit on the right": (HComp(GetL(A), IdV(sg.UNIT)), "unit-beside", GetL(A)),
+}
+
+
+@pytest.mark.parametrize("name", BRANCH_STEPS)
+def test_rule_branch_takes_one_step(name, bakery):
+    sig, _ = bakery
+    term, rule, result = BRANCH_STEPS[name]
+    r = rewrite(term)
+    assert (r.trace, r.result) == ([(rule, "root")], result)
+    assert boundaries_equal(infer_boundary(term, sig), infer_boundary(result, sig))
+
+
+def test_snap_send_around_needs_a_closed_receiver(bakery):
+    # below the receive, the receiving column still reads a send on its
+    # left: the seam is ill-typed, and snapping would hide that
+    sig, _ = bakery
+    term = HComp(PutR(A), VComp(GetL(A), HComp(GetL(B), IdV(A))))
+    with pytest.raises(BoundaryMismatch):
+        infer_boundary(term, sig)
+    r = rewrite(term)
+    assert (r.trace, r.result) == ([], term)
 
 
 def test_bakery_fuses_to_promote():

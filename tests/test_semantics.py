@@ -1,8 +1,10 @@
 import dataclasses
+import gc
 import itertools
 import pathlib
 import random
 import re
+import weakref
 
 import pytest
 
@@ -480,7 +482,19 @@ def test_a_shared_subterm_compiles_once(bakery, monkeypatch):
     for a, b in ((RYE, WHEAT), (WHEAT, RYE)):
         pv = interp.apply(cell, None, a)
         assert (pv.left, pv.right) == ((None, b), (None, b))
-    assert len(compiled) == 1 and compiled[0] is swap
+    # once per application: the compile table lives for one apply only
+    assert compiled == [swap, swap] and all(c is swap for c in compiled)
+
+
+def test_a_dropped_cell_is_freed(bakery):
+    # an Interp keeps nothing of the cells it ran
+    interp = Interp(*bakery)
+    cell = VComp(Promote(g.SWAP_DOUGH), PutR(A))
+    assert interp.apply(cell, None, RYE) == PSend(WHEAT, (None, sg.UNITV))
+    ref = weakref.ref(cell)
+    del cell
+    gc.collect()
+    assert ref() is None
 
 
 def test_times_runs_each_branch_when_read(interp):

@@ -1,3 +1,5 @@
+import itertools
+
 from hypothesis import given, strategies as st
 
 from fcn import signature as sg
@@ -118,6 +120,27 @@ def test_eval_mor_dist_round_trip():
         image = sg.eval_mor(there, v, val, sig)
         assert sg.check_value(image, sg.Sum(sg.tensor_obj(A, C), sg.tensor_obj(B, C)), val)
         assert sg.eval_mor(back, image, val, sig) == v
+
+
+@pytest.mark.parametrize(
+    "dist, undist", [(sg.DistR, sg.UndistR), (sg.DistL, sg.UndistL)], ids=["R", "L"]
+)
+def test_distributors_are_inverse_on_every_value(dist, undist):
+    # units and tensors included, so a factor put on the wrong side shows
+    sig, val = _small_sig(), _small_val()
+    parts = [A, B, sg.UNIT, sg.tensor_obj(A, C)]
+    for a, b, c in itertools.product(parts, repeat=3):
+        there, back = dist(a, b, c), undist(a, b, c)
+        dom, cod = sg.infer_mor_type(there, sig)
+        assert sg.infer_mor_type(back, sig) == (cod, dom)
+        for v in sg.enumerate_values(dom, val):
+            image = sg.eval_mor(there, v, val, sig)
+            assert sg.check_value(image, cod, val)
+            assert sg.eval_mor(back, image, val, sig) == v
+        for w in sg.enumerate_values(cod, val):
+            image = sg.eval_mor(back, w, val, sig)
+            assert sg.check_value(image, dom, val)
+            assert sg.eval_mor(there, image, val, sig) == w
 
 
 def test_eval_mor_stack_ops():
