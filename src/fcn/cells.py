@@ -248,8 +248,10 @@ def infer_boundary(c: Cell, sig: Signature) -> Boundary:
     The result is stored on c together with sig, outside the dataclass
     fields, and reused only for the same sig object; a failed inference
     stores nothing.  Every subterm stores its own boundary the same way,
-    so each node of a term is typed once per signature.  The rules are
-    inline, so a composite costs one stack frame per level."""
+    so each node is typed once per signature, and since a document holds
+    one node per distinct subterm, each distinct subterm of a document is
+    typed once.  The rules are inline, so a composite costs one stack
+    frame per level."""
     stored = getattr(c, "_boundary", None)
     if stored is not None and stored[0] is sig:
         return stored[1]

@@ -28,6 +28,17 @@ parser reads such a word's arguments, binds them to its parameters with
 No declaration may take one of these words, or `I`, `stack`, `send`, `recv`
 or `x`, as a name where the parser would read it as built in.
 
+A document holds one node per distinct subterm.  Every cell the parser
+builds, from `[f]`, `|`, `/`, a former, a definition, `cross` or `sendword`,
+goes through the document's `shared` table, keyed by its former or word
+and its arguments: a cell argument by identity, anything else by value.
+So a term is a DAG, and a repeated subterm is typed once (its stored
+boundary), compiled once per `Interp.apply` and found normal once per
+`rewrite`, as a named cell already is.  `show_cell` still prints the tree,
+and `rewrite` rewrites each occurrence of a shared subterm that is not
+normal.  A definition's text is read with the document's table, and no
+two documents share a node.
+
 `parse_term` reads one term of any kind against a document's names,
 including an equation `cell = cell`, as the law suite writes its laws;
 `bind` makes the document whose names are a binding's metavariables.
@@ -197,6 +208,9 @@ class Document:
     protocols: dict = field(default_factory=dict)
     aliases: dict = field(default_factory=dict)  # name -> ObjExpr (list carriers)
     cells: dict = field(default_factory=dict)  # in declaration order
+    # (former or derived word, argument keys) -> (arguments, cell); see
+    # `_Parser.share`
+    shared: dict = field(default_factory=dict, repr=False, compare=False)
 
 
 def parse_document(text: str) -> Document:
@@ -529,18 +543,19 @@ class _Parser:
             return inner
         t = s.ident("a morphism")
         if t.text in sg.MOR_WORDS:
-            return self.former(sg.MOR_WORDS[t.text])
+            cls = sg.MOR_WORDS[t.text]
+            return cls(*self.former(cls))
         if t.text in self.doc.sig.morphisms:
             return sg.GenMor(t.text)
         raise UnknownName(f"unknown morphism {t.text!r}", line=t.line, column=t.col)
 
     def former(self, cls):
-        """The term of former cls, whose word was just read: its
-        arguments are read by their kinds."""
+        """The arguments of former cls, whose word was just read, read by
+        their kinds."""
         _, kinds, brackets = _SHAPES[cls]
         if brackets is None:
-            return cls(getattr(self, kinds[0])())
-        return cls(*self.args(brackets, kinds))
+            return [getattr(self, kinds[0])()]
+        return self.args(brackets, kinds)
 
     def args(self, brackets, kinds):
         """Arguments of the given kinds (reader names), between the open
@@ -557,16 +572,27 @@ class _Parser:
 
     # -- cell terms ---------------------------------------------------------
 
+    def share(self, word, args, build) -> Cell:
+        """The document's one cell build(*args) for the former or derived
+        word, built on first use.  Cell arguments are keyed by identity and
+        every other argument by value, so no whole cell is ever hashed; the
+        entry holds the arguments, so no id in a key is reused."""
+        key = (word, *(id(x) if isinstance(x, Cell) else x for x in args))
+        entry = self.doc.shared.get(key)
+        if entry is None:
+            entry = self.doc.shared[key] = (args, build(*args))
+        return entry[1]
+
     def cell(self) -> Cell:
         left = self.cell_vchain()
         while self.s.eat("|"):
-            left = HComp(left, self.cell_vchain())
+            left = self.share(HComp, (left, self.cell_vchain()), HComp)
         return left
 
     def cell_vchain(self) -> Cell:
         left = self.cell_atom()
         while self.s.eat("/"):
-            left = VComp(left, self.cell_atom())
+            left = self.share(VComp, (left, self.cell_atom()), VComp)
         return left
 
     def cell_atom(self) -> Cell:
@@ -574,7 +600,7 @@ class _Parser:
         if s.eat("["):
             mor = self.mor()
             s.expect("]")
-            return Promote(mor)
+            return self.share(Promote, (mor,), Promote)
         if s.eat("("):
             inner = self.cell()
             s.expect(")")
@@ -582,15 +608,14 @@ class _Parser:
         t = s.ident("a cell term")
         word = t.text
         if word in CELL_WORDS:
-            return self.former(CELL_WORDS[word])
+            cls = CELL_WORDS[word]
+            return self.share(cls, self.former(cls), cls)
         if word in DEFINITIONS:
-            params, text = DEFINITIONS[word]
-            kinds = [_READERS.get(p, "cell") for p in params]
+            kinds = [_READERS.get(p, "cell") for p in DEFINITIONS[word][0]]
             args = self.args("{,}" if kinds[0] == "proto" else "(,)", kinds)
-            doc = bind(self.doc.sig, self.doc.val, dict(zip(params, args)))
-            return parse_term(text, "cell", doc)
+            return self.share(word, args, lambda *args: self.define(word, args))
         if word == "cross":
-            return dv.crossing(*self.args("{,}", ("proto", "obj")))
+            return self.share(word, self.args("{,}", ("proto", "obj")), dv.crossing)
         if word == "sendword":
             (a,) = self.args("{,}", ("obj",))
             s.expect("[")
@@ -600,10 +625,18 @@ class _Parser:
                 if not s.eat(","):
                     break
             s.expect("]")
-            return dv.word_sender(values, a)
+            return self.share(word, (tuple(values), a), dv.word_sender)
         if word in self.doc.cells:
             return self.doc.cells[word].term
         raise UnknownName(f"unknown cell term {word!r}", line=t.line, column=t.col)
+
+    def define(self, word, args) -> Cell:
+        """The text of definition word read with its parameters bound to
+        args, sharing this document's cells."""
+        params, text = DEFINITIONS[word]
+        doc = bind(self.doc.sig, self.doc.val, dict(zip(params, args)))
+        doc.shared = self.doc.shared
+        return parse_term(text, "cell", doc)
 
 
 # ---------------------------------------------------------------------------

@@ -97,8 +97,10 @@ def normalize_obj(e: ObjExpr) -> ObjExpr:
 
 
 def _same_items(xs: tuple, ys: tuple) -> bool:
-    """Whether two tuples hold the same objects, position by position."""
-    return len(xs) == len(ys) and all(x is y for x, y in zip(xs, ys))
+    """Whether two tuples hold the same objects, position by position.  A
+    node built from a factor tuple holds that tuple itself, so this is
+    usually one identity test."""
+    return xs is ys or (len(xs) == len(ys) and all(x is y for x, y in zip(xs, ys)))
 
 
 def obj_factors(e: ObjExpr) -> tuple:

@@ -1,3 +1,4 @@
+import pathlib
 import random
 
 import pytest
@@ -5,7 +6,7 @@ import pytest
 import goldens as g
 from fcn import parser
 from fcn import signature as sg
-from fcn.cells import GetL, IdV, Promote, PutR, VComp, infer_boundary
+from fcn.cells import Cell, GetL, IdV, Promote, PutR, VComp, infer_boundary
 from fcn.errors import BoundaryMismatch, ParseError, UnknownName
 from fcn.gen import gen_cell
 from fcn.parser import (
@@ -345,3 +346,85 @@ def test_reserved_words_are_not_names(decl, word):
         doc(DECLARATIONS[decl].format(word))
     assert (e.value.line, e.value.column) == (8, len(decl) + 2)
     assert f"{word!r} is a reserved word" in str(e.value)
+
+
+# ---------------------------------------------------------------------------
+# Sharing: one node per distinct subterm of a document
+
+BAKERY = (pathlib.Path(__file__).resolve().parent.parent / "demos" / "bakery.fcn").read_text()
+
+
+def bakery_term(text):
+    """A cell term read against the bakery demo's names, in a fresh
+    document."""
+    return parse_term(text, "cell", parse_document(BAKERY))
+
+
+def nodes(c):
+    """The distinct cell nodes of c, by id, found without recursion."""
+    seen, todo = {}, [c]
+    while todo:
+        x = todo.pop()
+        if id(x) not in seen:
+            seen[id(x)] = x
+            todo.extend(v for v in vars(x).values() if isinstance(v, Cell))
+    return seen
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "cross{send dough, oven}",
+        "deltaX{send dough}",
+        "(getL dough / putR dough)",
+        "sendword{dough}[ryedough, wheatdough]",
+        "[knead]",
+        "times(1 dough, 1 dough)",
+        "tensor(kneader, baker)",
+    ],
+)
+def test_a_repeated_subterm_is_one_node(text):
+    c = bakery_term(f"{text} | {text}")
+    assert c.a is c.b
+    assert c.a == bakery_term(text)
+
+
+@pytest.mark.parametrize(
+    "x, y",
+    [
+        ("cross{send dough, oven}", "cross{send dough, flour}"),
+        ("cross{send dough, oven}", "cross{recv dough, oven}"),
+        ("1 dough", "1 oven"),
+        ("deltaX{send dough}", "deltaX{recv dough}"),
+        ("sendword{dough}[ryedough]", "sendword{dough}[wheatdough]"),
+        ("getL dough | 1 oven", "getL flour | 1 oven"),
+        ("times(1 dough, 1 dough)", "times(1 oven, 1 oven)"),
+        ("tensor(kneader, baker)", "tensor(baker, kneader)"),
+    ],
+)
+def test_different_subterms_are_different_nodes(x, y):
+    c = bakery_term(f"({x}) / ({y})")
+    assert c.a is not c.b
+    assert (c.a, c.b) == (bakery_term(x), bakery_term(y))
+
+
+def test_a_chain_of_equal_crossings_types_each_crossing_once():
+    """Each / of the chain is one new node, and its n crossings are one."""
+    below = set()
+    for n in (2, 8, 32):
+        body = " / ".join(["cross{send dough, oven}"] * n)
+        side = " * ".join(["send dough"] * n)
+        d = parse_document(f"{BAKERY}cell chain : [ {side} | oven -> oven | {side} ] = {body};")
+        typed = [x for x in nodes(d.cells["chain"].term).values() if hasattr(x, "_boundary")]
+        below.add(len(typed) - (n - 1))
+    assert len(below) == 1
+
+
+def test_two_documents_share_nothing():
+    text = (
+        f"{BAKERY}cell c : [ I | flour * oven * oven -> oven * bread * oven | I ] ="
+        " kneader | cross{send dough, oven} | baker;"
+    )
+    first, second = (parse_document(text).cells["c"].term for _ in range(2))
+    assert first == second
+    assert not nodes(first).keys() & nodes(second).keys()

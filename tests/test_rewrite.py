@@ -264,6 +264,21 @@ def send_chain(n):
     return t
 
 
+def test_a_shared_crossing_rewrites_as_its_copies():
+    """The parser shares the crossings of a chain; rewriting it takes the
+    steps that the same chain with a crossing built per occurrence takes."""
+    side = " * ".join(["send dough"] * 4)
+    body = " / ".join(["cross{send dough, oven}"] * 4)
+    text = (ROOT / "demos" / "bakery.fcn").read_text()
+    shared = parse_document(f"{text}cell c : [ {side} | oven -> oven | {side} ] = {body};")
+    parsed, built = shared.cells["c"].term, send_chain(4)
+    assert parsed.b is parsed.a.b and built.b is not built.a.b
+    assert parsed == built
+    r, s = rewrite(parsed), rewrite(built)
+    assert (r.steps, r.trace, r.result) == (s.steps, s.trace, s.result)
+    assert r.steps == 6
+
+
 def rows(c):
     """The rows of a left-nested / chain, top first, without recursion."""
     out = []

@@ -3,7 +3,8 @@
 Applies each mutant, one text replaced in one file of src/fcn, to a
 temporary copy of the repository and runs the mutant's check there:
 
-- "rewrite": tests/test_rewrite.py, which must fail;
+- "rewrite" and "parser": tests/test_rewrite.py or tests/test_parser.py,
+  which must fail;
 - "laws": the law suite (`fcn laws`, which calls `run_laws`) on
   demos/bakery.fcn, which must give at least one `fail` or `error` row.
 
@@ -120,6 +121,19 @@ MUTANTS = {
         "_chain(proto_factors(head.body), self.rest)",
         "laws",
     ),
+    # the parser's share key
+    "the share key drops non-cell arguments": (
+        PARSER,
+        "key = (word, *(id(x) if isinstance(x, Cell) else x for x in args))",
+        "key = (word, *(id(x) for x in args if isinstance(x, Cell)))",
+        "parser",
+    ),
+    "the share key takes a cell's class": (
+        PARSER,
+        "key = (word, *(id(x) if isinstance(x, Cell) else x for x in args))",
+        "key = (word, *(type(x) if isinstance(x, Cell) else x for x in args))",
+        "parser",
+    ),
     # definitions
     "deltaX ends with pi0": (
         PARSER,
@@ -146,14 +160,15 @@ def run(copy, *args):
     )
 
 
-def rewrite_check(copy):
-    """Run tests/test_rewrite.py in the copy: (whether the mutant is
+def pytest_check(test_file):
+    """A check that runs test_file in the copy: (whether the mutant is
     killed, the first failing test or the summary line)."""
-    out = run(copy, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
-              "tests/test_rewrite.py")
-    lines = out.stdout.strip().splitlines() or [out.stderr.strip()]
-    failed = [line.split(" - ")[0] for line in lines if line.startswith("FAILED")]
-    return out.returncode != 0, (failed or lines)[-1]
+    def check(copy):
+        out = run(copy, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", test_file)
+        lines = out.stdout.strip().splitlines() or [out.stderr.strip()]
+        failed = [line.split(" - ")[0] for line in lines if line.startswith("FAILED")]
+        return out.returncode != 0, (failed or lines)[-1]
+    return check
 
 
 def laws_check(copy):
@@ -169,7 +184,11 @@ def laws_check(copy):
     return bool(bad), summary + (f": {', '.join(bad)}" if bad else "")
 
 
-CHECKS = {"rewrite": rewrite_check, "laws": laws_check}
+CHECKS = {
+    "rewrite": pytest_check("tests/test_rewrite.py"),
+    "parser": pytest_check("tests/test_parser.py"),
+    "laws": laws_check,
+}
 
 
 def main():
