@@ -98,8 +98,8 @@ def eval_cmd(file, cellname, literal, scriptfile):
 
 @main.command()
 @click.argument("file", type=click.Path())
-@click.option("--depth", default=DEFAULT_DEPTH, show_default=True)
-@click.option("--samples", default=DEFAULT_SAMPLES, show_default=True)
+@click.option("--depth", default=DEFAULT_DEPTH, show_default=True, type=click.IntRange(0))
+@click.option("--samples", default=DEFAULT_SAMPLES, show_default=True, type=click.IntRange(0))
 @click.option("--seed", default=DEFAULT_SEED, show_default=True)
 def laws(file, depth, samples, seed):
     """Run the equational law suite over the file's signature."""

@@ -17,11 +17,16 @@ random draws of which the distinct shapes run, with loop handles in the
 outputs compared to a bounded observation depth.  When ``samples`` is 0 and
 the inputs cannot be enumerated, a law skips the check and ``cells_equal``
 raises NotEnumerable.
+
+Laws share no state, so ``run_laws`` runs them in forked worker processes,
+one per usable CPU; the rows come back in name order, and a law whose worker
+dies gets an ``error`` row.
 """
 
 from __future__ import annotations
 
 import itertools
+import os
 import random
 from dataclasses import dataclass
 
@@ -47,6 +52,12 @@ class EqConfig:
     depth: int = DEFAULT_DEPTH
     samples: int = DEFAULT_SAMPLES
     seed: int = DEFAULT_SEED
+
+    def __post_init__(self):
+        # a negative count would observe or draw nothing, and pass
+        for name, value in (("depth", self.depth), ("samples", self.samples)):
+            if value < 0:
+                raise FcnError(f"{name} must be at least 0, got {value}")
 
 
 @dataclass
@@ -458,9 +469,57 @@ LAWS = [
 ]
 
 
+# In a worker process of run_laws: its _Ctx and its sorted (name, build)
+# list, inherited through fork with no pickling.
+_JOB = None
+
+
+def _take_job(job):
+    global _JOB
+    _JOB = job
+
+
+def _law_at(i: int) -> LawResult:
+    ctx, picked = _JOB
+    return _law_result(ctx, *picked[i])
+
+
+def _submitted(pool, i: int):
+    """The future of law ``i``; if a worker has already died, so that the
+    pool refuses new work, a future that holds that refusal."""
+    from concurrent.futures import Future
+    from concurrent.futures.process import BrokenProcessPool
+
+    try:
+        return pool.submit(_law_at, i)
+    except BrokenProcessPool as exc:
+        future = Future()
+        future.set_exception(exc)
+        return future
+
+
+def _collected(name: str, future) -> LawResult:
+    from concurrent.futures.process import BrokenProcessPool
+
+    try:
+        return future.result()
+    except BrokenProcessPool as exc:
+        # the worker running or due to run this law died
+        return LawResult(name, "error", 0, f"{type(exc).__name__}: {exc}")
+
+
 def run_laws(sig: sg.Signature, val: sg.Valuation, cfg: EqConfig = None, names=None):
     """Run every named law over the given signature, or only the laws in
-    ``names`` when given. Returns LawResults sorted by law name."""
+    ``names`` when given. Returns LawResults sorted by law name.
+
+    The laws run in forked worker processes, one per usable CPU and no more
+    than there are laws; each worker inherits the laws and the context and
+    sends back only LawResults, which come back in name order.  A law whose
+    worker dies gets an ``error`` row, as does every law still unfinished
+    then.  No worker outlives the call."""
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
     if cfg is None:
         cfg = EqConfig()
     if names is not None:
@@ -471,7 +530,16 @@ def run_laws(sig: sg.Signature, val: sg.Valuation, cfg: EqConfig = None, names=N
         picked = [(n, f) for n, f in LAWS if n in wanted]
     else:
         picked = LAWS
-    ctx = _Ctx(sig, val, cfg)
-    return [
-        _law_result(ctx, name, build) for name, build in sorted(picked)
-    ]
+    picked = sorted(picked)
+    job = (_Ctx(sig, val, cfg), picked)
+    workers = max(1, min(len(os.sched_getaffinity(0)), len(picked)))
+    fork = multiprocessing.get_context("fork")
+    with ProcessPoolExecutor(
+        workers, mp_context=fork, initializer=_take_job, initargs=(job,)
+    ) as pool:
+        futures = [_submitted(pool, i) for i in range(len(picked))]
+        try:
+            return [_collected(n, f) for (n, _), f in zip(picked, futures)]
+        finally:
+            # when a law raises or the run is interrupted, start no other law
+            pool.shutdown(cancel_futures=True)

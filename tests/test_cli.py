@@ -1,3 +1,5 @@
+import multiprocessing
+import os
 import pathlib
 import re
 
@@ -189,6 +191,31 @@ def test_laws_error_row_exits_1(monkeypatch):
     rows = r.output.splitlines()
     assert len(rows) == len(laws.LAWS)
     assert [row.split()[1] for row in rows].count("error") == 1
+
+
+def test_laws_dying_worker_exits_1(monkeypatch, deadline):
+    def dies(ctx, law):
+        os._exit(3)
+
+    name, _ = sorted(laws.LAWS)[0]
+    monkeypatch.setattr(laws, "LAWS", [(name, dies)] + sorted(laws.LAWS)[1:])
+    r = run("laws", DEMO, "--depth", "1", "--samples", "1")
+    assert r.exit_code == 1
+    assert isinstance(r.exception, SystemExit)
+    assert "Traceback" not in r.output
+    rows = r.output.splitlines()
+    assert len(rows) == len(laws.LAWS)
+    assert rows[0].split()[:3] == [name, "error", "0"]
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("option", ["--samples", "--depth"])
+def test_laws_refuses_a_negative_count(option):
+    # a negative count drew no inputs, and every check of no inputs passed
+    r = run("laws", DEMO, option, "-1")
+    assert r.exit_code == 2
+    assert f"Error: Invalid value for '{option}': -1 is not in the range x>=0." in r.output
+    assert "pass" not in r.output
 
 
 def test_laws_skipped_when_samples_zero():

@@ -1,5 +1,8 @@
+import multiprocessing
+import os
 import pathlib
 import re
+import time
 
 import pytest
 
@@ -11,7 +14,7 @@ from fcn.cells import (
     Cell, GetR, HComp, IdH, IdV, Promote, PutR, VComp, boundary, infer_boundary,
 )
 from fcn.derived import simple_iter_x, vchain
-from fcn.errors import BoundaryMismatch, IllTypedValue, NotEnumerable
+from fcn.errors import BoundaryMismatch, FcnError, IllTypedValue, NotEnumerable
 from fcn.laws import EqConfig, LawResult, cells_equal, run_laws
 from fcn.parser import parse_document, parse_term, show_cell
 from fcn.protocol import (
@@ -261,3 +264,105 @@ def test_every_law_side_round_trips(demo):
     assert sides
     for side in sides:
         assert parse_term(show_cell(side), "cell", doc) == side
+
+
+RELAYS = """
+mor swapdough : dough -> dough;
+map swapdough = { ryedough -> wheatdough; wheatdough -> ryedough; };
+cell relay : [ (send dough)^+ | I -> I | (send dough)^+ ] = id ((send dough)^+);
+cell swaprelay : [ (send dough)^+ | I -> I | (send dough)^+ ] =
+  iterPs(getL dough / [swapdough] / putR dough);
+"""
+
+
+def test_negative_counts_are_refused():
+    # a negative count drew no inputs, and a check of no inputs passed
+    doc = parse_document((DEMOS / "bakery.fcn").read_text() + RELAYS)
+    relay, swaprelay = doc.cells["relay"].term, doc.cells["swaprelay"].term
+    assert not cells_equal(relay, swaprelay, doc.sig, doc.val, samples=64)
+    with pytest.raises(FcnError, match="^samples must be at least 0, got -1$"):
+        cells_equal(relay, swaprelay, doc.sig, doc.val, samples=-1)
+    with pytest.raises(FcnError, match="^depth must be at least 0, got -2$"):
+        cells_equal(relay, swaprelay, doc.sig, doc.val, depth=-2)
+    EqConfig(depth=0, samples=0)  # zero is allowed
+
+
+def test_rows_are_the_in_process_results():
+    # each law run in a worker gives the row it gives in this process, so no
+    # law's state leaks into the next law its worker runs
+    doc = parse_document((DEMOS / "bakery.fcn").read_text())
+    cfg = EqConfig(depth=2, samples=4)
+    ctx = laws._Ctx(doc.sig, doc.val, cfg)
+    alone = [laws._law_result(ctx, name, build) for name, build in sorted(laws.LAWS)]
+    assert run_laws(doc.sig, doc.val, cfg) == alone
+    assert multiprocessing.active_children() == []
+
+
+def test_rows_come_back_in_name_order(bakery, tmp_path, monkeypatch, deadline):
+    # the first law finishes after the other two, which a second worker runs
+    sig, val = bakery
+    (first, _), (second, build2), (third, build3) = sorted(laws.LAWS)[:3]
+    done = tmp_path / "done"
+
+    def finished(build):
+        def run(ctx, law):
+            checks = build(ctx, law)
+            with open(done, "a") as fh:
+                fh.write(law + "\n")
+            return checks
+
+        return run
+
+    def slow(ctx, law):
+        time.sleep(0.5)
+        return [(HComp(PutR(A), g.GetL(A)), IdV(A))]
+
+    picked = [(first, finished(slow)), (second, finished(build2)), (third, finished(build3))]
+    monkeypatch.setattr(laws, "LAWS", picked)
+    rows = run_laws(sig, val)
+    assert [(r.law, r.status) for r in rows] == [(n, "pass") for n, _ in picked]
+    if len(os.sched_getaffinity(0)) > 1:
+        assert done.read_text().split() == [second, third, first]
+
+
+def test_a_dying_worker_gives_error_rows(bakery, monkeypatch, deadline):
+    # the worker running the first law exits: that law and every law left
+    # unfinished get error rows, and no worker is left running
+    sig, val = bakery
+    names = [name for name, _ in sorted(laws.LAWS)[:4]]
+
+    def dies(ctx, law):
+        os._exit(3)
+
+    monkeypatch.setattr(laws, "LAWS", [(names[0], dies)] + sorted(laws.LAWS)[1:])
+    rows = run_laws(sig, val, names=names)
+    assert [r.law for r in rows] == names
+    assert (rows[0].status, rows[0].instances) == ("error", 0)
+    assert rows[0].detail.startswith("BrokenProcessPool: ")
+    assert {r.status for r in rows[1:]} <= {"pass", "error"}
+    assert multiprocessing.active_children() == []
+
+
+def test_a_worker_dying_before_every_law_is_sent(bakery, monkeypatch, deadline):
+    # the pool breaks while run_laws is still handing out laws: the laws it
+    # could not send get error rows too, rather than the call raising
+    from concurrent.futures import ProcessPoolExecutor, wait
+
+    sig, val = bakery
+    names = [name for name, _ in sorted(laws.LAWS)[:4]]
+    submit = ProcessPoolExecutor.submit
+
+    def submit_then_wait(pool, fn, *args):
+        future = submit(pool, fn, *args)
+        wait([future])
+        return future
+
+    def dies(ctx, law):
+        os._exit(3)
+
+    monkeypatch.setattr(laws, "LAWS", [(names[0], dies)] + sorted(laws.LAWS)[1:])
+    monkeypatch.setattr(ProcessPoolExecutor, "submit", submit_then_wait)
+    rows = run_laws(sig, val, names=names)
+    assert [(r.law, r.status, r.instances) for r in rows] == [(n, "error", 0) for n in names]
+    assert all(r.detail.startswith("BrokenProcessPool: ") for r in rows)
+    assert multiprocessing.active_children() == []

@@ -3,8 +3,8 @@
 Applies each mutant, one text replaced in one file of src/fcn, to a
 temporary copy of the repository and runs the mutant's check there:
 
-- "rewrite" and "parser": tests/test_rewrite.py or tests/test_parser.py,
-  which must fail;
+- "rewrite", "parser" and "test_laws": tests/test_rewrite.py,
+  tests/test_parser.py or tests/test_laws.py, which must fail;
 - "laws": the law suite (`fcn laws`, which calls `run_laws`) on
   demos/bakery.fcn, which must give at least one `fail` or `error` row.
 
@@ -25,6 +25,7 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 SRC = pathlib.Path("src", "fcn")
 REWRITE, SEMANTICS = SRC / "rewrite.py", SRC / "semantics.py"
 PROTOCOL, PARSER = SRC / "protocol.py", SRC / "parser.py"
+LAWS = SRC / "laws.py"
 
 # name -> (file, text in it, its replacement, check); each text occurs once
 MUTANTS = {
@@ -134,6 +135,20 @@ MUTANTS = {
         "key = (word, *(type(x) if isinstance(x, Cell) else x for x in args))",
         "parser",
     ),
+    # the worker pool of run_laws
+    "the rows come back in completion order": (
+        LAWS,
+        "return [_collected(n, f) for (n, _), f in zip(picked, futures)]",
+        "return [f.result() for f in"
+        ' __import__("concurrent.futures").futures.as_completed(futures)]',
+        "test_laws",
+    ),
+    "a law's build runs under the next name": (
+        LAWS,
+        "return _law_result(ctx, *picked[i])",
+        "return _law_result(ctx, picked[(i + 1) % len(picked)][0], picked[i][1])",
+        "test_laws",
+    ),
     # definitions
     "deltaX ends with pi0": (
         PARSER,
@@ -187,6 +202,7 @@ def laws_check(copy):
 CHECKS = {
     "rewrite": pytest_check("tests/test_rewrite.py"),
     "parser": pytest_check("tests/test_parser.py"),
+    "test_laws": pytest_check("tests/test_laws.py"),
     "laws": laws_check,
 }
 
