@@ -6,7 +6,7 @@ import sys
 
 import click
 
-from .errors import FcnError, UnknownCell
+from .errors import FcnError, ParseError, UnknownCell
 from .laws import DEFAULT_DEPTH, DEFAULT_SAMPLES, DEFAULT_SEED, EqConfig, run_laws
 from .parser import parse_document, parse_script, parse_value, show_cell
 from .rewrite import rewrite
@@ -14,14 +14,30 @@ from .semantics import Interp
 from .trace import run_trace
 
 
-def _load(path: str):
+def _read(path: str) -> str:
+    """The text of an ASCII file.  A file that cannot be read, or that holds
+    a non-ASCII byte, is a ClickException naming the file, and for a bad
+    byte the line and column where it stands."""
     try:
         with open(path, "r", encoding="ascii") as fh:
-            text = fh.read()
+            return fh.read()
     except OSError as exc:
         raise click.ClickException(str(exc))
+    except UnicodeDecodeError as exc:
+        # every byte before the first bad one is ASCII
+        before = exc.object[: exc.start].decode("ascii")
+        before = before.replace("\r\n", "\n").replace("\r", "\n")
+        where = ParseError(
+            f"non-ASCII byte 0x{exc.object[exc.start]:02x}",
+            line=before.count("\n") + 1,
+            column=len(before) - before.rfind("\n"),
+        )
+        raise click.ClickException(f"{path}: {where}")
+
+
+def _load(path: str):
     try:
-        return parse_document(text)
+        return parse_document(_read(path))
     except FcnError as exc:
         raise click.ClickException(str(exc))
 
@@ -53,7 +69,10 @@ def check(file):
 @main.command()
 @click.argument("file", type=click.Path())
 @click.option("--cell", "cellname", required=True, help="Cell to normalize.")
-@click.option("--budget", default=10000, show_default=True, help="Max rewrite steps.")
+@click.option(
+    "--budget", default=10000, show_default=True, type=click.IntRange(0),
+    help="Max rewrite steps.",
+)
 @click.option("--trace-rules", is_flag=True, help="Print each rule application.")
 def normalize(file, cellname, budget, trace_rules):
     """Rewrite a cell to normal form and print it."""
@@ -84,13 +103,10 @@ def eval_cmd(file, cellname, literal, scriptfile):
         top = parse_value(literal)
         moves = []
         if scriptfile is not None:
-            with open(scriptfile, "r", encoding="ascii") as fh:
-                moves = parse_script(fh.read())
+            moves = parse_script(_read(scriptfile))
         interp = Interp(doc.sig, doc.val)
         events = run_trace(interp, decl.term, top, moves)
     except FcnError as exc:
-        raise click.ClickException(str(exc))
-    except OSError as exc:
         raise click.ClickException(str(exc))
     for line in events:
         click.echo(line)

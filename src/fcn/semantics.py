@@ -37,7 +37,11 @@ walks, not the whole output:
   at most once, and the mapped function runs on a leaf only when a read
   reaches it.  The silent cells (`IdH`, `Pi*`, `Inj*`) and the fold of a
   left-driven loop map this way.  Maps over the same factor list compose
-  into one flat sequence of functions;
+  into one flat sequence of functions.  Under the continuation `_payload`
+  a silent cell's map is the identity, so by the functor identity law it
+  hands its environment through unmapped.  The loop formers apply their
+  `g` under `_payload` in every round, and build no map there for a
+  silent `g`;
 - receive tables are eager: `GetR` builds every entry, though each entry
   may itself be lazy.
 
@@ -431,11 +435,23 @@ def _compile_iterp(interp, c):
 def _compile_silent(side, read, tag):
     """The compile function of a silent cell, which maps each payload x of
     the environment `read(pv)` over its protocol `side` to k((x, ())) and
-    hands the result to `tag`."""
+    hands the result to `tag`.
+
+    Under the continuation `_payload` that map is the identity, and a
+    functor maps the identity to the identity, so `read(pv)` is handed
+    through unmapped; the loop formers apply their `g` this way in every
+    round.  No shape check is lost: whoever reads that environment still
+    `expect`s each layer it reads, along an equal protocol."""
 
     def compile_cell(interp, c):
         steps = proto_steps(getattr(c, side))
-        return lambda pv, a, k: tag(_mapped(read(pv), steps, (lambda x: k((x, UNITV)),)))
+
+        def run(pv, a, k):
+            if k is _payload:
+                return tag(read(pv))
+            return tag(_mapped(read(pv), steps, (lambda x: k((x, UNITV)),)))
+
+        return run
 
     return compile_cell
 

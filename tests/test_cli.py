@@ -85,6 +85,14 @@ def test_normalize_budget_zero():
     assert "budget exhausted" in r.output
 
 
+def test_normalize_refuses_a_negative_budget():
+    # a negative budget was read as 0: no steps, "budget exhausted"
+    r = run("normalize", DEMO, "--cell", "bakery", "--budget", "-5")
+    assert r.exit_code == 2
+    assert "Error: Invalid value for '--budget': -5 is not in the range x>=0." in r.output
+    assert "steps" not in r.output
+
+
 def test_normalize_unknown_cell():
     r = run("normalize", DEMO, "--cell", "nope")
     assert r.exit_code != 0
@@ -126,6 +134,29 @@ def test_eval_rejects_ill_typed_input(tmp_path):
 def test_eval_script_errors():
     r = run("eval", DEMO, "--cell", "memory", "--input", "ryedough")
     assert r.exit_code != 0
+
+
+@pytest.mark.parametrize(
+    "command", [["check"], ["laws"], ["normalize", "--cell", "bakery"]], ids=lambda c: c[0]
+)
+def test_a_non_ascii_document_is_an_error_line(tmp_path, command):
+    path = tmp_path / "accent.fcn"
+    path.write_bytes(DEMOS.joinpath("bakery.fcn").read_bytes() + b"# caf\xc3\xa9 au lait\n")
+    line = DEMOS.joinpath("bakery.fcn").read_text().count("\n") + 1
+    r = run(command[0], str(path), *command[1:])
+    assert r.exit_code == 1
+    assert r.output == f"Error: {path}: line {line}:6: non-ASCII byte 0xc3\n"
+
+
+def test_a_non_ascii_script_is_an_error_line(tmp_path):
+    script = tmp_path / "moves"
+    script.write_bytes(b"continue\r\nrecv wheatdough\r\n  st\xe9p\n")
+    r = run(
+        "eval", DEMO, "--cell", "memory", "--input", "ryedough",
+        "--script", str(script),
+    )
+    assert r.exit_code == 1
+    assert r.output == f"Error: {script}: line 3:5: non-ASCII byte 0xe9\n"
 
 
 LAWS_SAMPLES_ZERO = """\

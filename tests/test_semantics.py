@@ -19,7 +19,12 @@ from fcn.cells import (
     GetL,
     GetR,
     HComp,
+    IdH,
     IdV,
+    Inj0,
+    Inj1,
+    Pi0,
+    Pi1,
     Promote,
     PutL,
     PutR,
@@ -343,26 +348,31 @@ def _tag(leaf):
     return ("k", leaf)
 
 
-def _assert_fused(interp, c, rng, tries=3):
-    """Compare the fused and the mapped application on random inputs."""
+FUSED_KS = pytest.mark.parametrize("k", [_tag, semantics._payload], ids=["tag", "payload"])
+
+
+def _assert_fused(interp, c, rng, k, tries=3):
+    """Compare the application fused with k and the one mapped by k on
+    random inputs."""
     b = infer_boundary(c, interp.sig)
     left, right = proto_steps(b.left), proto_steps(b.right)
     counter = itertools.count()
     for _ in range(tries):
         pv = rand_pval(rng, left, lambda: f"p{next(counter)}", interp.val, 3)
         a = rand_value(rng, b.top, interp.val)
-        mapped = pval_map(interp.apply(c, pv, a), right, _tag)
-        fused = interp.apply(c, pv, a, _tag)
+        mapped = pval_map(interp.apply(c, pv, a), right, k)
+        fused = interp.apply(c, pv, a, k)
         assert pval_equal(fused, mapped, right, 3), f"{c} on {a}"
 
 
-def test_fused_apply_matches_mapped_on_demo_cells():
+@FUSED_KS
+def test_fused_apply_matches_mapped_on_demo_cells(k):
     rng = random.Random("fused-demos")
     for path in sorted(DEMOS.glob("*.fcn")):
         doc = parse_document(path.read_text())
         interp = Interp(doc.sig, doc.val)
         for name in doc.cells:
-            _assert_fused(interp, doc.cells[name].term, rng)
+            _assert_fused(interp, doc.cells[name].term, rng, k)
 
 
 def _loop_cells():
@@ -379,16 +389,47 @@ def _loop_cells():
     ]
 
 
-def test_fused_apply_matches_mapped_on_loop_cells(interp):
+@FUSED_KS
+def test_fused_apply_matches_mapped_on_loop_cells(interp, k):
     rng = random.Random("fused-loops")
     for c in _loop_cells():
-        _assert_fused(interp, c, rng)
+        _assert_fused(interp, c, rng, k)
 
 
-def test_fused_apply_matches_mapped_on_gen_cells(interp):
+@FUSED_KS
+def test_fused_apply_matches_mapped_on_gen_cells(interp, k):
     rng = random.Random("fused-gen")
     for _ in range(200):
-        _assert_fused(interp, gen_cell(rng, interp.sig), rng)
+        _assert_fused(interp, gen_cell(rng, interp.sig), rng, k)
+
+
+def test_silent_cells_hand_their_environment_through_under_payload(interp, monkeypatch):
+    # under _payload a silent cell's leaf map is the identity, so the
+    # environment it reads comes back itself, tagged for an injection, and
+    # no pending map is built; any other continuation still maps
+    built = []
+    init = semantics.PMap.__init__
+
+    def counting(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(semantics.PMap, "__init__", counting)
+    u, w = SendP(A), RecvP(A)
+    sent, table = PSend(RYE, "x0"), PTable({RYE: "x1", WHEAT: "x2"})
+    pair = PPair(sent, table)
+    run = lambda cell, pv, k=semantics._payload: interp.apply(cell, pv, sg.UNITV, k)
+    assert run(IdH(u), sent) is sent
+    assert run(Pi0(u, w), pair) is sent
+    assert run(Pi1(u, w), pair) is table
+    for cell, pv, tag in ((Inj0(u, w), sent, PInl), (Inj1(u, w), table, PInr)):
+        out = run(cell, pv)
+        assert type(out) is tag and out.value is pv
+    assert built == []
+    with pytest.raises(IllTypedValue):
+        run(Pi0(u, w), sent)
+    run(IdH(u), sent, _tag)
+    assert len(built) == 1
 
 
 # ---------------------------------------------------------------------------

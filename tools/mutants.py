@@ -3,12 +3,13 @@
 Applies each mutant, one text replaced in one file of src/fcn, to a
 temporary copy of the repository and runs the mutant's check there:
 
-- "rewrite", "parser" and "test_laws": tests/test_rewrite.py,
-  tests/test_parser.py or tests/test_laws.py, which must fail;
+- "rewrite", "parser", "test_laws" and "test_semantics":
+  tests/test_rewrite.py, tests/test_parser.py, tests/test_laws.py or
+  tests/test_semantics.py, which must fail;
 - "laws": the law suite (`fcn laws`, which calls `run_laws`) on
   demos/bakery.fcn, which must give at least one `fail` or `error` row.
 
-The unmutated copy must pass both checks.  Exits 1 if a mutant survives,
+The unmutated copy must pass every check.  Exits 1 if a mutant survives,
 its law run ends without a report, or it no longer applies.
 
     python3 tools/mutants.py
@@ -113,8 +114,21 @@ MUTANTS = {
         'Inj1: _compile_silent("left",',
         "laws",
     ),
+    "a silent cell skips its map for every k": (
+        SEMANTICS, "if k is _payload:", "if True:", "laws",
+    ),
+    "a silent cell hands through untagged": (
+        SEMANTICS, "return tag(read(pv))", "return read(pv)", "laws",
+    ),
     "IterX's stop reads the first input": (
         SEMANTICS, "lambda: run_f(state, inp, k),", "lambda: run_f(state, a, k),", "laws",
+    ),
+    # the comparator
+    "pval_equal says equal": (
+        SEMANTICS, "return seen_p == seen_q", "return True", "test_semantics",
+    ),
+    "the observation writes 0 for a payload": (
+        SEMANTICS, "out.append(pv)", "out.append(0)", "test_semantics",
     ),
     "a loop's step skips the loop": (
         PROTOCOL,
@@ -203,6 +217,7 @@ CHECKS = {
     "rewrite": pytest_check("tests/test_rewrite.py"),
     "parser": pytest_check("tests/test_parser.py"),
     "test_laws": pytest_check("tests/test_laws.py"),
+    "test_semantics": pytest_check("tests/test_semantics.py"),
     "laws": laws_check,
 }
 
