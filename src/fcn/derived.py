@@ -1,10 +1,11 @@
 """Derived cells: terms built from the primitive generators.
 
-A derived cell that is one fixed term of its arguments is a line of surface
-syntax, read by `define`: a word of `parser.DEFINITIONS` (the loop
-structures, the one-argument loop combinators, the tensor) or a text here.
-Python builds only what recurses or takes a value: protocol crossings, word
-senders and state machines.
+A derived cell that is one fixed term of its arguments is surface syntax,
+not Python: a word of `parser.DEFINITIONS` (the loop structures, the
+one-argument loop combinators, the tensor) or any other text, read in a
+document, a law or a call to `define`.  Python builds only what text cannot
+say, because it recurses or takes a value: protocol crossings, word senders
+and state machines.
 """
 
 from __future__ import annotations
@@ -115,98 +116,6 @@ def crossing(u: Protocol, a: sg.ObjExpr) -> Cell:
     raise IllTypedSubterm(f"cannot build a crossing for {u}")
 
 
-def tensor_cells(a: Cell, b: Cell, sig: sg.Signature) -> Cell:
-    """Side-by-side tensor of arbitrary cells."""
-    return define("tensor(f, g)", sig, f=a, g=b)
-
-
-# ---------------------------------------------------------------------------
-# Loops: the combinators and the (co)monoid and (co)monad of `DEFINITIONS`
-
-
-def simple_iter_x(a: Cell, sig: sg.Signature) -> Cell:
-    """Lift [u | A -> A | w] to [u^x | A -> A | w^x]."""
-    return define("iterXs(c)", sig, c=a)
-
-
-def simple_iter_p(a: Cell, sig: sg.Signature) -> Cell:
-    """Lift [u | A -> A | w] to [u^+ | A -> A | w^+]."""
-    return define("iterPs(c)", sig, c=a)
-
-
-def dup_x(u: Protocol) -> Cell:
-    """[u^x | I -> I | u^x * u^x]"""
-    return define("deltaX{U}", U=u)
-
-
-def merge_p(u: Protocol) -> Cell:
-    """[u^+ * u^+ | I -> I | u^+]"""
-    return define("nablaP{U}", U=u)
-
-
-def extract_x(u: Protocol) -> Cell:
-    """[u^x | I -> I | u]"""
-    return define("epsX{U}", U=u)
-
-
-def duplicate_x(u: Protocol) -> Cell:
-    """[u^x | I -> I | (u^x)^x]"""
-    return define("dX{U}", U=u)
-
-
-def insert_p(u: Protocol) -> Cell:
-    """[u | I -> I | u^+]"""
-    return define("etaP{U}", U=u)
-
-
-def flatten_p(u: Protocol) -> Cell:
-    """[(u^+)^+ | I -> I | u^+]"""
-    return define("muP{U}", U=u)
-
-
-# ---------------------------------------------------------------------------
-# Offers of sends versus sends of sums
-
-# tag whichever value was offered; send the value under its tag; and the
-# same for receivers
-_OFFER_TO_SUM = "plus(getL a / [inj0(a, b)], getL b / [inj1(a, b)])"
-_SUM_TO_OFFER = "copair(putR a | in0{send a, send b}, putR b | in1{send a, send b})"
-_RECV_TO_PAIR = ("times(getR a / [inj0(a, b)] / putL (a (+) b),"
-                 " getR b / [inj1(a, b)] / putL (a (+) b))")
-_PAIR_TO_RECV = ("getR (a (+) b)"
-                 " / copair(pi0{recv a, recv b} | putL a, pi1{recv a, recv b} | putL b)")
-
-
-def offer_to_sum(a: sg.ObjExpr, b: sg.ObjExpr) -> Cell:
-    """[send a + send b | I -> a (+) b | I]"""
-    return define(_OFFER_TO_SUM, a=a, b=b)
-
-
-def sum_to_offer(a: sg.ObjExpr, b: sg.ObjExpr) -> Cell:
-    """[I | a (+) b -> I | send a + send b]"""
-    return define(_SUM_TO_OFFER, a=a, b=b)
-
-
-def offer_send_forward(a: sg.ObjExpr, b: sg.ObjExpr) -> Cell:
-    """[send a + send b | I -> I | send (a (+) b)]"""
-    return define(f"{_OFFER_TO_SUM} / putR (a (+) b)", a=a, b=b)
-
-
-def offer_send_backward(a: sg.ObjExpr, b: sg.ObjExpr) -> Cell:
-    """[send (a (+) b) | I -> I | send a + send b]"""
-    return define(f"getL (a (+) b) / {_SUM_TO_OFFER}", a=a, b=b)
-
-
-def recv_to_pair(a: sg.ObjExpr, b: sg.ObjExpr) -> Cell:
-    """[recv (a (+) b) | I -> I | recv a x recv b]: split a tagged receiver."""
-    return define(_RECV_TO_PAIR, a=a, b=b)
-
-
-def pair_to_recv(a: sg.ObjExpr, b: sg.ObjExpr) -> Cell:
-    """[recv a x recv b | I -> I | recv (a (+) b)]: merge two receivers."""
-    return define(_PAIR_TO_RECV, a=a, b=b)
-
-
 # ---------------------------------------------------------------------------
 # Stock machines
 
@@ -230,7 +139,7 @@ def mealy_cell(m: sg.MorExpr, a: sg.ObjExpr, s: sg.ObjExpr, b: sg.ObjExpr) -> Ce
 
 def mealy_loop(m: sg.MorExpr, a: sg.ObjExpr, s: sg.ObjExpr, b: sg.ObjExpr, sig) -> Cell:
     """[(send a)^+ | s -> s | (send b)^+]: run the machine over a finite input word."""
-    return simple_iter_p(mealy_cell(m, a, s, b), sig)
+    return define("iterPs(c)", sig, c=mealy_cell(m, a, s, b))
 
 
 def memory_cell(a: sg.ObjExpr) -> Cell:

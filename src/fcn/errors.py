@@ -42,12 +42,13 @@ class NotEnumerable(FcnError):
     pass
 
 
-class BoundaryMismatch(FcnError):
-    def __init__(self, site, expected, found):
+class BoundaryMismatch(_Positioned):
+    def __init__(self, site, expected, found, line=None, column=None):
         self.site = site
         self.expected = expected
         self.found = found
-        super().__init__(f"boundary mismatch at {site}: expected {expected}, found {found}")
+        message = f"boundary mismatch at {site}: expected {expected}, found {found}"
+        super().__init__(message, line, column)
 
 
 class IllTypedSubterm(FcnError):

@@ -4,8 +4,9 @@ Every law builds a list of checks.  A check is a pair of cells ``(c1, c2)``,
 or ``(c1, c2, cap)`` to sample at most ``cap`` inputs, or ``(c1, ref)`` with
 a reference map ``ref(pv, a) -> environment`` for c2.  Most laws are written
 as equations in the surface syntax, ``putR o | getL o = 1 o``, read once for
-each binding of their metavariables; Python builds only the checks that text
-cannot say: reference maps and the rewriter's own output.
+each binding of their metavariables, and the bindings are text too.  Python
+builds only what text cannot say: random cells, reference maps and the
+rewriter's own output.
 
 Each check runs once per shape of input, an environment for the left
 protocol plus a value for the top edge.  A cell moves, copies and drops
@@ -19,8 +20,8 @@ the inputs cannot be enumerated, a law skips the check and ``cells_equal``
 raises NotEnumerable.
 
 Laws share no state, so ``run_laws`` runs them in forked worker processes,
-one per usable CPU; the rows come back in name order, and a law whose worker
-dies gets an ``error`` row.
+one per usable CPU; the rows come back in name order.  When a worker dies,
+its law and every law after it in name order get an ``error`` row.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ from .semantics import (
     _ENUM_CAP, Interp, pval_enumerate, pval_equal, pval_label, pval_map, pval_shape,
 )
 from .rewrite import rewrite
-from . import derived as dv
 from .gen import gen_cell, gen_interchange_quad, rand_pval, rand_value
 
 DEFAULT_DEPTH = 4
@@ -235,20 +235,17 @@ _LOOPFREE = [
 _LOOPS = [{"U": "(send a)^x"}, {"U": "(send a)^+"}]
 _SMALL = [{"U": "send a"}, {"U": "send a * recv b"}]
 
-_GOLDEN = [
+# [send a + send b | I -> a (+) b | I]: tag whichever value was offered;
+# [I | a (+) b -> I | send a + send b]: send the value under its tag
+_OFFER_TO_SUM = "plus(getL a / [inj0(a, b)], getL b / [inj1(a, b)])"
+_SUM_TO_OFFER = "copair(putR a | in0{send a, send b}, putR b | in1{send a, send b})"
+
+# cells of many shapes
+_GOLDEN = [{"c": c} for c in (
     "putR a", "getL a", "getR a", "putL a", "1 a", "putR a | getL a",
     "putR a / getR b", "cross{send a, b}", "cross{send a x recv b, a}",
-]
-
-
-def _golden(ctx, law):
-    """Cells of many shapes: the text ones and two derived ones."""
-    a, b = ctx.a, ctx.b
-    return [{"c": c} for c in _GOLDEN] + [
-        {"c": dv.offer_to_sum(a, b)},
-        {"c": dv.sum_to_offer(a, b)},
-    ]
-
+    _OFFER_TO_SUM, _SUM_TO_OFFER,
+)]
 
 # (f, g) for a branching cell: the same left, bottom and right, tops a and b
 _BRANCH = [
@@ -301,7 +298,7 @@ def _law_crossing_strength(ctx, law):
 
 def _law_rewrite_sound(ctx, law):
     rng = ctx.rng(law)
-    cells = [_bind(ctx, c).cells["c"].term for c in _golden(ctx, law)]
+    cells = [_bind(ctx, c).cells["c"].term for c in _GOLDEN]
     cells += [gen_cell(rng, ctx.sig) for _ in range(20)]
     return [(c, rewrite(c).result) for c in cells]
 
@@ -315,8 +312,8 @@ LAWS = [
     ("yank-recv-h", _eqs((["getR o | putL o = 1 o"], _O))),
     ("yank-recv-v", _eqs((["getR o / putL o = id (recv o)"], _O))),
     # categories and functors
-    ("unit-beside", _eqs((["id cL | c = c", "c | id cR = c"], _golden))),
-    ("unit-above", _eqs((["1 cT / c = c", "c / 1 cB = c"], _golden))),
+    ("unit-beside", _eqs((["id cL | c = c", "c | id cR = c"], _GOLDEN))),
+    ("unit-above", _eqs((["1 cT / c = c", "c / 1 cB = c"], _GOLDEN))),
     ("assoc-beside", _eqs((
         ["(c | cross{cR, b}) | cross{cR, a} = c | (cross{cR, b} | cross{cR, a})"],
         [{"c": "putR a"}, {"c": "getR a"}, {"c": "1 b"}],
@@ -384,16 +381,18 @@ LAWS = [
     ))),
     ("moral-equiv-send", _eqs((
         ["f | g = id (send a + send b)", "g | f = id (send (a (+) b))"],
-        lambda ctx, law: [{
-            "f": dv.offer_send_forward(ctx.a, ctx.b),
-            "g": dv.offer_send_backward(ctx.a, ctx.b),
-        }],
+        # [send a + send b | I -> I | send (a (+) b)] and back
+        [{"f": f"{_OFFER_TO_SUM} / putR (a (+) b)",
+          "g": f"getL (a (+) b) / {_SUM_TO_OFFER}"}],
     ))),
     ("moral-equiv-recv", _eqs((
         ["f | g = id (recv (a (+) b))", "g | f = id (recv a x recv b)"],
-        lambda ctx, law: [
-            {"f": dv.recv_to_pair(ctx.a, ctx.b), "g": dv.pair_to_recv(ctx.a, ctx.b)}
-        ],
+        # [recv (a (+) b) | I -> I | recv a x recv b]: split a tagged
+        # receiver; [recv a x recv b | I -> I | recv (a (+) b)]: merge two
+        [{"f": "times(getR a / [inj0(a, b)] / putL (a (+) b),"
+               " getR b / [inj1(a, b)] / putL (a (+) b))",
+          "g": "getR (a (+) b)"
+               " / copair(pi0{recv a, recv b} | putL a, pi1{recv a, recv b} | putL b)"}],
     ))),
     # crossings
     ("crossing-tensor", _eqs((
@@ -406,7 +405,7 @@ LAWS = [
         _U3,
     ))),
     ("crossing-swap", _eqs(
-        ([_SWAP], lambda ctx, law: [{**c, "o": ctx.b} for c in _golden(ctx, law)]),
+        ([_SWAP], [{**c, "o": "b"} for c in _GOLDEN]),
         ([_SWAP], _random_cells),
     )),
     ("crossing-strength", _law_crossing_strength),
@@ -484,41 +483,19 @@ def _law_at(i: int) -> LawResult:
     return _law_result(ctx, *picked[i])
 
 
-def _submitted(pool, i: int):
-    """The future of law ``i``; if a worker has already died, so that the
-    pool refuses new work, a future that holds that refusal."""
-    from concurrent.futures import Future
-    from concurrent.futures.process import BrokenProcessPool
-
-    try:
-        return pool.submit(_law_at, i)
-    except BrokenProcessPool as exc:
-        future = Future()
-        future.set_exception(exc)
-        return future
-
-
-def _collected(name: str, future) -> LawResult:
-    from concurrent.futures.process import BrokenProcessPool
-
-    try:
-        return future.result()
-    except BrokenProcessPool as exc:
-        # the worker running or due to run this law died
-        return LawResult(name, "error", 0, f"{type(exc).__name__}: {exc}")
-
-
 def run_laws(sig: sg.Signature, val: sg.Valuation, cfg: EqConfig = None, names=None):
     """Run every named law over the given signature, or only the laws in
     ``names`` when given. Returns LawResults sorted by law name.
 
     The laws run in forked worker processes, one per usable CPU and no more
     than there are laws; each worker inherits the laws and the context and
-    sends back only LawResults, which come back in name order.  A law whose
-    worker dies gets an ``error`` row, as does every law still unfinished
-    then.  No worker outlives the call."""
+    sends back only LawResults, which come back in name order.  When a
+    worker dies, the law it ran and every law after it in name order get an
+    ``error`` row, even those that had finished.  No worker outlives the
+    call."""
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
 
     if cfg is None:
         cfg = EqConfig()
@@ -537,9 +514,13 @@ def run_laws(sig: sg.Signature, val: sg.Valuation, cfg: EqConfig = None, names=N
     with ProcessPoolExecutor(
         workers, mp_context=fork, initializer=_take_job, initargs=(job,)
     ) as pool:
-        futures = [_submitted(pool, i) for i in range(len(picked))]
+        rows = []
         try:
-            return [_collected(n, f) for (n, _), f in zip(picked, futures)]
-        finally:
-            # when a law raises or the run is interrupted, start no other law
-            pool.shutdown(cancel_futures=True)
+            # the map's iterator cancels every law not yet started when a
+            # law raises or the run is interrupted
+            rows += pool.map(_law_at, range(len(picked)))
+        except BrokenProcessPool as exc:
+            # the worker running or due to run law len(rows) died
+            detail = f"{type(exc).__name__}: {exc}"
+            rows += [LawResult(n, "error", 0, detail) for n, _ in picked[len(rows):]]
+        return rows

@@ -402,7 +402,7 @@ class _Parser:
         inferred = infer_boundary(term, self.doc.sig)
         if not boundaries_equal(declared, inferred):
             raise BoundaryMismatch(
-                f"cell {name}", str(declared), str(inferred)
+                f"cell {name}", str(declared), str(inferred), line=t.line, column=t.col
             )
         self.doc.cells[name] = CellDecl(name, inferred, term)
 
@@ -668,18 +668,24 @@ _CELL_WORD = {cls: word for word, cls in CELL_WORDS.items()}
 # Derived cells: a word, its parameters (metavariables, see `bind`) and the
 # text it stands for.  Protocol arguments go in `{U}`, cells in `(c)`.
 DEFINITIONS = {
-    # the comonoid and comonad of U^x, read as its unrolling I x (U * U^x)
+    # the comonoid and comonad of U^x, read as its unrolling I x (U * U^x):
+    # deltaX [U^x | I -> I | U^x * U^x], epsX [U^x | I -> I | U] and
+    # dX [U^x | I -> I | (U^x)^x]
     "deltaX": (("U",), "iterX(id U; id (U^x); pi1{I, U * U^x})"),
     "epsX": (("U",), "pi1{I, U * U^x} | (id U / pi0{I, U * U^x})"),
     "dX": (("U",), "iterX(id (U^x); pi0{I, U * U^x}; deltaX{U})"),
-    # the monoid and monad of U^+, read as its unrolling I + (U * U^+)
+    # the monoid and monad of U^+, read as its unrolling I + (U * U^+):
+    # nablaP [U^+ * U^+ | I -> I | U^+], etaP [U | I -> I | U^+] and
+    # muP [(U^+)^+ | I -> I | U^+]
     "nablaP": (("U",), "iterP(id U; id (U^+); in1{I, U * U^+})"),
     "etaP": (("U",), "(id U / in0{I, U * U^+}) | in1{I, U * U^+}"),
     "muP": (("U",), "iterP(id (U^+); in0{I, U * U^+}; nablaP{U})"),
-    # c replayed once per round of a loop on its left or on its right
+    # c : [cL | cT -> cT | cR] replayed once per round of a loop on its left
+    # or on its right: [cL^x | cT -> cT | cR^x] and [cL^+ | cT -> cT | cR^+]
     "iterXs": (("c",), "iterX(c; pi0{I, cL * cL^x} | 1 cT; pi1{I, cL * cL^x})"),
     "iterPs": (("c",), "iterP(c; 1 cT | in0{I, cR * cR^+}; in1{I, cR * cR^+})"),
-    # f and g side by side, each crossing the other's protocol
+    # f and g side by side, each crossing the other's protocol:
+    # [fL * gL | fT * gT -> fB * gB | fR * gR]
     "tensor": (("f", "g"), "(f | cross{fR, gT}) / (cross{gL, fB} | g)"),
 }
 

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
 
+from .errors import FcnError
 from .protocol import RecvP, SendP, proto_factors
 from . import signature as sg
 from .cells import (
@@ -223,6 +224,8 @@ _CHILDREN = {
 
 def rewrite(c: Cell, budget: int = 10000) -> RewriteReport:
     """Rewrite c to normal form, or until the step budget runs out."""
+    if budget < 0:
+        raise FcnError(f"budget must be at least 0, got {budget}")
     report = RewriteReport(c, 0, False)
     normal = {}  # id(node) -> node found normal; holding it keeps the id unused
     path = []  # the field names from the root down to the node in hand

@@ -58,6 +58,18 @@ def test_check_reports_first_error(tmp_path):
     assert "mismatch" in r.output
 
 
+def test_check_positions_a_declared_boundary_mismatch(tmp_path):
+    # the error points at the name of the cell whose header is wrong
+    bad = tmp_path / "bad.fcn"
+    bad.write_text("object a;\nobject b;\n\ncell k : [ I | a -> I | send b ] = putR a;\n")
+    r = run("check", str(bad))
+    assert r.exit_code == 1
+    assert r.output == (
+        "Error: line 4:6: boundary mismatch at cell k:"
+        " expected [I | a -> I | send b], found [I | a -> I | send a]\n"
+    )
+
+
 def test_check_empty_file(tmp_path):
     empty = tmp_path / "empty.fcn"
     empty.write_text("")

@@ -1,25 +1,10 @@
+import re
+
 import goldens as g
-from fcn import cells
+from fcn import cells, parser
 from fcn import signature as sg
 from fcn.cells import Boundary, infer_boundary
-from fcn.derived import (
-    crossing,
-    dup_x,
-    duplicate_x,
-    extract_x,
-    flatten_p,
-    insert_p,
-    memory_cell,
-    merge_p,
-    offer_to_sum,
-    pair_to_recv,
-    recv_to_pair,
-    simple_iter_p,
-    simple_iter_x,
-    sum_to_offer,
-    tensor_cells,
-    word_sender,
-)
+from fcn.derived import crossing, define, memory_cell, word_sender
 from fcn.laws import cells_equal
 from fcn.protocol import (
     ChooseP,
@@ -61,11 +46,7 @@ def test_crossing_loop_boundary(bakery):
 
 def test_tensor_cells_is_denotational_product(bakery, interp):
     sig, val = bakery
-    both = tensor_cells(g.kneader, g.kneader, sig)
-    b = infer_boundary(both, sig)
-    flour = sg.GenObj("flour")
-    assert b.top == sg.tensor_obj(flour, flour)
-    assert b.bottom == sg.UNIT
+    both = define("tensor(f, g)", sig, f=g.kneader, g=g.kneader)
     pv = interp.apply(both, None, sg.TupleV((sg.AtomV("rye"), sg.AtomV("wheat"))))
     # two sends in sequence
     assert pv.value == sg.AtomV("ryedough")
@@ -76,35 +57,66 @@ def test_comonoid_boundaries(bakery):
     sig, _ = bakery
     u = SendP(A)
     star = StarXP(u)
-    assert infer_boundary(dup_x(u), sig).right == seq_proto(star, star)
-    assert infer_boundary(extract_x(u), sig) == Boundary(
+    assert infer_boundary(define("deltaX{U}", U=u), sig).right == seq_proto(star, star)
+    assert infer_boundary(define("epsX{U}", U=u), sig) == Boundary(
         star, sg.UNIT, sg.UNIT, u
     )
-    assert infer_boundary(duplicate_x(u), sig).right == StarXP(star)
+    assert infer_boundary(define("dX{U}", U=u), sig).right == StarXP(star)
 
 
 def test_monoid_boundaries(bakery):
     sig, _ = bakery
     u = SendP(A)
     plus = StarPP(u)
-    assert infer_boundary(merge_p(u), sig).left == seq_proto(plus, plus)
-    assert infer_boundary(insert_p(u), sig) == Boundary(
+    assert infer_boundary(define("nablaP{U}", U=u), sig).left == seq_proto(plus, plus)
+    assert infer_boundary(define("etaP{U}", U=u), sig) == Boundary(
         u, sg.UNIT, sg.UNIT, plus
     )
-    assert infer_boundary(flatten_p(u), sig).left == StarPP(plus)
+    assert infer_boundary(define("muP{U}", U=u), sig).left == StarPP(plus)
 
 
 def test_simple_iter_boundaries(bakery):
     sig, _ = bakery
     body = crossing(SendP(A), B)
-    bx = infer_boundary(simple_iter_x(body, sig), sig)
+    bx = infer_boundary(define("iterXs(c)", sig, c=body), sig)
     from fcn.protocol import proto_equal
 
     assert proto_equal(bx.left, StarXP(SendP(A)))
     assert bx.right == StarXP(SendP(A))
-    bp = infer_boundary(simple_iter_p(body, sig), sig)
+    bp = infer_boundary(define("iterPs(c)", sig, c=body), sig)
     assert proto_equal(bp.left, StarPP(SendP(A)))
     assert bp.right == StarPP(SendP(A))
+
+
+# Each word of `parser.DEFINITIONS`, applied to metavariables, and its
+# boundary: U is any protocol, c a cell whose top and bottom agree, and f
+# and g any cells.
+DEFINITION_BOUNDARIES = {
+    "deltaX": ("deltaX{U}", "[U^x | I -> I | U^x * U^x]"),
+    "epsX": ("epsX{U}", "[U^x | I -> I | U]"),
+    "dX": ("dX{U}", "[U^x | I -> I | (U^x)^x]"),
+    "nablaP": ("nablaP{U}", "[U^+ * U^+ | I -> I | U^+]"),
+    "etaP": ("etaP{U}", "[U | I -> I | U^+]"),
+    "muP": ("muP{U}", "[(U^+)^+ | I -> I | U^+]"),
+    "iterXs": ("iterXs(c)", "[cL^x | cT -> cT | cR^x]"),
+    "iterPs": ("iterPs(c)", "[cL^+ | cT -> cT | cR^+]"),
+    "tensor": ("tensor(f, g)", "[fL * gL | fT * gT -> fB * gB | fR * gR]"),
+}
+
+
+def test_every_definition_has_its_boundary(bakery):
+    sig, val = bakery
+    assert set(DEFINITION_BOUNDARIES) == set(parser.DEFINITIONS)
+    kinds = ("proto", "obj", "obj", "proto")
+    for u in ("send dough", "send dough * recv bread", "recv bread x I"):
+        doc = parser.bind(sig, val, {
+            "U": u, "c": "cross{send dough, bread}",
+            "f": g.kneader, "g": "cross{recv bread, flour} / [knead]",
+        })
+        for word, (term, header) in DEFINITION_BOUNDARIES.items():
+            parts = re.fullmatch(r"\[(.*) \| (.*) -> (.*) \| (.*)\]", header).groups()
+            want = Boundary(*map(parser.parse_term, parts, kinds, [doc] * 4))
+            assert infer_boundary(parser.parse_term(term, "cell", doc), sig) == want, word
 
 
 def test_loop_crossing_is_typed_once(bakery, monkeypatch):
@@ -129,12 +141,24 @@ def test_loop_crossing_is_typed_once(bakery, monkeypatch):
 
 def test_moral_equivalence_round_trips(bakery):
     sig, val = bakery
-    fwd, back = offer_to_sum(A, B), sum_to_offer(A, B)
+    fwd = define("plus(getL a / [inj0(a, b)], getL b / [inj1(a, b)])", a=A, b=B)
+    back = define(
+        "copair(putR a | in0{send a, send b}, putR b | in1{send a, send b})", a=A, b=B
+    )
     assert infer_boundary(fwd, sig).left == OfferP(SendP(A), SendP(B))
     assert cells_equal(
         g.HComp(back, fwd), g.IdV(sg.Sum(A, B)), sig, val
     )
-    rf, rb = recv_to_pair(A, B), pair_to_recv(A, B)
+    rf = define(
+        "times(getR a / [inj0(a, b)] / putL (a (+) b),"
+        " getR b / [inj1(a, b)] / putL (a (+) b))",
+        a=A, b=B,
+    )
+    rb = define(
+        "getR (a (+) b)"
+        " / copair(pi0{recv a, recv b} | putL a, pi1{recv a, recv b} | putL b)",
+        a=A, b=B,
+    )
     assert infer_boundary(rf, sig).right == ChooseP(RecvP(A), RecvP(B))
     assert cells_equal(
         g.HComp(rb, rf),

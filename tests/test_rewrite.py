@@ -29,8 +29,8 @@ from fcn.cells import (
     boundaries_equal,
     infer_boundary,
 )
-from fcn.derived import crossing, dup_x
-from fcn.errors import BoundaryMismatch
+from fcn.derived import crossing, define
+from fcn.errors import BoundaryMismatch, FcnError
 from fcn.gen import gen_cell
 from fcn.laws import cells_equal
 from fcn.parser import parse_document
@@ -168,7 +168,9 @@ LOOP = seq_proto(SendP(A), StarXP(SendP(A)))
 BRANCH_STEPS = {
     # the stop projection stacked over an id row: deltaX{send dough} stops
     "stacked stop arm": (
-        HComp(dup_x(SendP(A)), VComp(Pi0(DONE, LOOP), IdH(StarXP(SendP(A))))),
+        HComp(
+            define("deltaX{U}", U=SendP(A)), VComp(Pi0(DONE, LOOP), IdH(StarXP(SendP(A))))
+        ),
         "loop-x-stop",
         IdH(StarXP(SendP(A))),
     ),
@@ -232,6 +234,12 @@ def test_normal_form_is_fixed_point():
     again = rewrite(r.result)
     assert (again.result, again.steps, again.trace) == (r.result, 0, [])
     assert not r.budget_exhausted
+
+
+def test_a_negative_budget_is_refused():
+    # as EqConfig refuses a negative count, rather than take it as 0
+    with pytest.raises(FcnError, match="budget must be at least 0, got -5"):
+        rewrite(g.bakery, budget=-5)
 
 
 def test_budget_zero_reports_redex():

@@ -300,7 +300,7 @@ def test_walkers_on_nested_shapes(interp, name, proto, rows):
         assert eq == want_eq
 
 
-# ((send dough)^x)^x, the right boundary of duplicate_x that comonad-x compares,
+# ((send dough)^x)^x, the right boundary of dX{send dough} that comonad-x compares,
 # the same with a send before the inner loop, and the nested shapes above:
 # two environments print alike exactly when they are equal at that depth.
 AGREEMENT_SHAPES = [
@@ -378,12 +378,8 @@ def test_fused_apply_matches_mapped_on_demo_cells(k):
 def _loop_cells():
     u = SendP(A)
     return [
-        dv.dup_x(u),
-        dv.duplicate_x(u),
-        dv.extract_x(u),
-        dv.merge_p(u),
-        dv.flatten_p(u),
-        dv.insert_p(u),
+        *(dv.define(f"{w}{{U}}", U=u)
+          for w in ("deltaX", "dX", "epsX", "nablaP", "muP", "etaP")),
         dv.crossing(StarXP(seq_proto(u, RecvP(A))), g.OVEN),
         dv.crossing(StarPP(u), g.OVEN),
     ]

@@ -3,9 +3,9 @@
 Applies each mutant, one text replaced in one file of src/fcn, to a
 temporary copy of the repository and runs the mutant's check there:
 
-- "rewrite", "parser", "test_laws" and "test_semantics":
-  tests/test_rewrite.py, tests/test_parser.py, tests/test_laws.py or
-  tests/test_semantics.py, which must fail;
+- "rewrite", "parser", "test_laws", "test_semantics" and "test_derived":
+  tests/test_rewrite.py, tests/test_parser.py, tests/test_laws.py,
+  tests/test_semantics.py or tests/test_derived.py, which must fail;
 - "laws": the law suite (`fcn laws`, which calls `run_laws`) on
   demos/bakery.fcn, which must give at least one `fail` or `error` row.
 
@@ -152,9 +152,10 @@ MUTANTS = {
     # the worker pool of run_laws
     "the rows come back in completion order": (
         LAWS,
-        "return [_collected(n, f) for (n, _), f in zip(picked, futures)]",
-        "return [f.result() for f in"
-        ' __import__("concurrent.futures").futures.as_completed(futures)]',
+        "rows += pool.map(_law_at, range(len(picked)))",
+        "rows += (f.result() for f in"
+        ' __import__("concurrent.futures").futures.as_completed('
+        "[pool.submit(_law_at, i) for i in range(len(picked))]))",
         "test_laws",
     ),
     "a law's build runs under the next name": (
@@ -174,6 +175,16 @@ MUTANTS = {
         PARSER,
         "(id U / in0{I, U * U^+}) | in1{I, U * U^+}",
         "(id U / in1{I, U * U^+}) | in0{I, U * U^+}",
+        "laws",
+    ),
+    "tensor crosses g's bottom": (
+        PARSER, "(f | cross{fR, gT})", "(f | cross{fR, gB})", "test_derived",
+    ),
+    # a law's own derived cell
+    "sum-to-offer swaps its injections": (
+        LAWS,
+        "copair(putR a | in0{send a, send b}, putR b | in1{send a, send b})",
+        "copair(putR a | in1{send a, send b}, putR b | in0{send a, send b})",
         "laws",
     ),
 }
@@ -218,6 +229,7 @@ CHECKS = {
     "parser": pytest_check("tests/test_parser.py"),
     "test_laws": pytest_check("tests/test_laws.py"),
     "test_semantics": pytest_check("tests/test_semantics.py"),
+    "test_derived": pytest_check("tests/test_derived.py"),
     "laws": laws_check,
 }
 
