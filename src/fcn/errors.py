@@ -9,6 +9,7 @@ class _Positioned(FcnError):
     """An error that prefixes its message with its line and column."""
 
     def __init__(self, message, line=None, column=None):
+        self.message = message
         self.line = line
         self.column = column
         loc = f"line {line}:{column}: " if line is not None else ""

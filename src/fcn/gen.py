@@ -96,19 +96,20 @@ def rand_pval(rng: random.Random, steps, mkpayload, val: Valuation, depth=3):
     """
     if steps is END:
         return mkpayload()
-    head, kind = steps.head, steps.kind
-    if steps.rest is not END:
-        rest = lambda: rand_pval(rng, steps.rest, mkpayload, val, depth)
-        return rand_pval(rng, proto_steps(head), rest, val, depth)
+    head, kind, rest = steps.head, steps.kind, steps.rest
+    draw = lambda node: rand_pval(rng, node, mkpayload, val, depth)
     if kind == SEND:
-        return PSend(rand_value(rng, head.obj, val), mkpayload())
+        return PSend(rand_value(rng, head.obj, val), draw(rest))
     if kind == RECV:
-        return PTable({k: mkpayload() for k in enumerate_values(head.obj, val)})
+        return PTable({k: draw(rest) for k in enumerate_values(head.obj, val)})
     if kind == CHOOSE:
-        return PPair(*(rand_pval(rng, side, mkpayload, val, depth) for side in steps.parts))
+        return PPair(*map(draw, steps.sides))
     if kind == OFFER:
         tag = PInl if rng.random() < 0.5 else PInr
-        return tag(rand_pval(rng, steps.parts[tag is PInr], mkpayload, val, depth))
+        return tag(draw(steps.sides[tag is PInr]))
+    if rest is not END:
+        # a loop counts its rounds alone, and draws what follows at its leaves
+        return rand_pval(rng, proto_steps(head), lambda: draw(rest), val, depth)
     body, loop = steps.parts
     if kind == LOOP_X:
         # a handle settles after depth rounds into its own next layer

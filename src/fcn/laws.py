@@ -12,12 +12,13 @@ Each check runs once per shape of input, an environment for the left
 protocol plus a value for the top edge.  A cell moves, copies and drops
 payloads but cannot look at them, so one input per shape with its leaves
 labelled apart decides every payload assignment (Wadler, *Theorems for
-Free!*, 1989).  The inputs are every shape when the left protocol is loop
-free and its carriers are finite and small, otherwise ``samples`` seeded
-random draws of which the distinct shapes run, with loop handles in the
-outputs compared to a bounded observation depth.  When ``samples`` is 0 and
-the inputs cannot be enumerated, a law skips the check and ``cells_equal``
-raises NotEnumerable.
+Free!*, 1989).  The inputs are every shape, enumerated with its leaves
+labelled apart, when the left protocol is loop free and its carriers are
+finite and small; otherwise the distinct shapes among ``samples`` seeded
+random draws, with loop handles in the outputs compared to a bounded
+observation depth.  In both modes no two inputs share a shape.  When
+``samples`` is 0 and the inputs cannot be enumerated, a law skips the check
+and ``cells_equal`` raises NotEnumerable.
 
 Laws share no state, so ``run_laws`` runs them in forked worker processes,
 one per usable CPU; the rows come back in name order.  When a worker dies,
@@ -37,7 +38,7 @@ from . import signature as sg
 from .cells import Cell, boundaries_equal, infer_boundary
 from .parser import Document, bind, parse_term
 from .semantics import (
-    _ENUM_CAP, Interp, pval_enumerate, pval_equal, pval_label, pval_map, pval_shape,
+    _ENUM_CAP, Interp, pval_enumerate, pval_equal, pval_map, pval_shape,
 )
 from .rewrite import rewrite
 from .gen import gen_cell, gen_interchange_quad, rand_pval, rand_value
@@ -76,31 +77,34 @@ class LawResult:
 
 
 def _inputs(bound, val, depth, samples, seed):
-    """The (left environment, top value) inputs for cells of this boundary:
-    one input per shape when there are at most _ENUM_CAP of them, each left
-    environment shape with its leaves labelled u0, u1, ... and with each top
-    value; otherwise ``samples`` seeded random draws, whose leaves are
-    labelled s0, s1, ..., or None when ``samples`` is 0."""
+    """The (left environment, top value) inputs for cells of this boundary,
+    one per shape: every shape when there are at most _ENUM_CAP of them,
+    its leaves labelled u0, u1, ... apart, with each top value; otherwise
+    the distinct shapes among ``samples`` seeded random draws, labelled s0,
+    s1, ..., or None when ``samples`` is 0."""
     left = proto_steps(bound.left)
     try:
-        shapes = [*itertools.islice(pval_enumerate(left, [None], val), _ENUM_CAP + 1)]
+        count = itertools.count()
+        pvs = pval_enumerate(left, lambda: f"u{next(count)}", val)
+        pvs = [*itertools.islice(pvs, _ENUM_CAP + 1)]
         tops = list(sg.enumerate_values(bound.top, val))
-        if len(shapes) * len(tops) <= _ENUM_CAP:
-            labels = lambda: (f"u{i}" for i in itertools.count())
-            pvs = [pval_label(shape, left, labels()) for shape in shapes]
+        if len(pvs) * len(tops) <= _ENUM_CAP:
             return [(pv, a) for pv in pvs for a in tops]
     except NotEnumerable:
         # a loop factor or an infinite carrier: sample instead
         pass
     if samples == 0:
         return None
-    rng = random.Random(seed)
-    counter = itertools.count()
+    rng, counter = random.Random(seed), itertools.count()
     mk = lambda: f"s{next(counter)}"
-    return [
-        (rand_pval(rng, left, mk, val, depth), rand_value(rng, bound.top, val))
-        for _ in range(samples)
-    ]
+    # two draws share a shape key exactly when they are equal up to
+    # renaming leaves; the first draw of each key is kept
+    inputs = {}
+    for _ in range(samples):
+        pv = rand_pval(rng, left, mk, val, depth)
+        a = rand_value(rng, bound.top, val)
+        inputs.setdefault((pval_shape(pv, left), a), (pv, a))
+    return list(inputs.values())
 
 
 def _check(sig, val, cfg, c1, c2, cap=None):
@@ -120,15 +124,10 @@ def _check(sig, val, cfg, c1, c2, cap=None):
     inputs = _inputs(bound, val, cfg.depth, samples, cfg.seed)
     if inputs is None:
         return None
-    left, right = proto_steps(bound.left), proto_steps(bound.right)
-    # Each shape of input runs once: two draws share a shape key exactly
-    # when they are equal up to renaming leaves.
-    shapes = {}
-    for pv, a in inputs:
-        shapes.setdefault((pval_shape(pv, left), a), (pv, a))
+    right = proto_steps(bound.right)
     return all(
         pval_equal(interp.apply(c1, pv, a), want(pv, a), right, cfg.depth)
-        for pv, a in shapes.values()
+        for pv, a in inputs
     )
 
 

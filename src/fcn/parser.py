@@ -266,15 +266,21 @@ def parse_value(text: str) -> sg.Value:
 
 
 def parse_script(text: str):
-    """One move per line: `recv <value>`, `pick 0|1`, `stop`, `continue`."""
+    """One move per line: `recv <value>`, `pick 0|1`, `stop`, `continue`.
+    An error gives the script line and the column within that line."""
     moves = []
     for num, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
+        col = raw.index(line) + 1
         head, _, rest = line.partition(" ")
         if head == "recv":
-            moves.append(RecvMove(parse_value(rest)))
+            try:
+                moves.append(RecvMove(parse_value(rest)))
+            except ParseError as e:
+                at = col + len(line) - len(rest) + e.column - 1
+                raise ParseError(e.message, line=num, column=at) from None
         elif head == "pick" and rest.strip() in ("0", "1"):
             moves.append(PickMove(int(rest)))
         elif head == "stop" and not rest.strip():
@@ -282,7 +288,7 @@ def parse_script(text: str):
         elif head == "continue" and not rest.strip():
             moves.append(ContinueMove())
         else:
-            raise ParseError(f"script line {num}: bad move {line!r}")
+            raise ParseError(f"bad move {line!r}", line=num, column=col)
     return moves
 
 
@@ -313,12 +319,22 @@ class _Parser:
             except FcnError as e:
                 raise ParseError(str(e), line=name.line, column=name.col) from None
         elif t.text == "map":
-            name = s.ident("a morphism name").text
+            at = s.ident("a morphism name")
+            name = at.text
+            if name not in self.doc.sig.morphisms:
+                raise UnknownName(f"unknown morphism {name!r}", line=at.line, column=at.col)
+            if name in self.maps:
+                raise ParseError(f"map {name} declared again", line=at.line, column=at.col)
             s.expect("=")
             s.expect("{")
             table = {}
             while not s.at("}"):
+                at = s.peek()
                 key = self.value()
+                if key in table:
+                    raise ParseError(
+                        f"map {name}: repeated key {key}", line=at.line, column=at.col
+                    )
                 s.expect("->")
                 table[key] = self.value()
                 if not s.eat(";"):

@@ -202,8 +202,8 @@ class Step:
     of `factors` from here on; the two `sides` the environment splits into
     here, each followed by `rest`, which for a loop are its stop (`rest`)
     and its step (the body chained back to this node, so the graph stays
-    finite); and, ending at END, the `parts`: a branch's two sides alone,
-    or a loop's body alone and the loop alone."""
+    finite); and, for a loop only, its `parts`, each ending at END: its
+    body alone and the loop alone, for the walkers that count rounds."""
 
     __slots__ = ("head", "rest", "kind", "factors", "sides", "parts")
 
@@ -219,17 +219,14 @@ class Step:
                 heads.append(node.head)
                 node = node.rest
             value = tuple(heads)
-        elif name not in ("sides", "parts"):
+        elif name == "parts" and self.kind in (LOOP_X, LOOP_P):
+            value = (proto_steps(head.body), proto_steps(head))
+        elif name != "sides":
             raise AttributeError(name)
-        elif self.kind not in (LOOP_X, LOOP_P):
-            value = tuple(
-                _chain(proto_factors(p), rest) if name == "sides" else proto_steps(p)
-                for p in (head.left, head.right)
-            )
-        elif name == "sides":
+        elif self.kind in (LOOP_X, LOOP_P):
             value = (rest, _chain(proto_factors(head.body), self))
         else:
-            value = (proto_steps(head.body), proto_steps(head))
+            value = tuple(_chain(proto_factors(p), rest) for p in (head.left, head.right))
         setattr(self, name, value)
         return value
 

@@ -58,9 +58,11 @@ and a left-driven loop the tagged value of an offer.
 
 The environment walkers (`pval_map`, `pval_enumerate`, the observation
 below, `trace._walk` and `gen.rand_pval`) follow the step chains of
-`protocol.proto_steps`, so none meets `done` or a nested sequence, or
-slices a factor list: `done` is `END`, and a loop's step side is its body
-chained back to the loop's own node.
+`protocol.proto_steps` and read a branch through its two `sides`, each
+followed by the rest of the chain, so none meets `done` or a nested
+sequence, or slices a factor list: `done` is `END`, and a loop's step side
+is its body chained back to the loop's own node.  Only the observation and
+`gen.rand_pval` count loop rounds, and read a loop's `parts` to do so.
 
 Environments are compared and printed through one observation, a flat token
 list: structure marks, each sent value and table key (tables in the order
@@ -358,7 +360,7 @@ def _compile_hcomp(interp, c):
 
 def _compile_vcomp(interp, c):
     run_a, run_b = interp._run(c.a), interp._run(c.b)
-    if isinstance(c.a, (Promote, GetL, PutL, IdV)):
+    if proto_steps(infer_boundary(c.a, interp.sig).right) is END:
         # c.a's right protocol is done: hand its one leaf on directly
         return lambda pv, a, k: run_b(*run_a(pv, a, _leaf), k)
     return lambda pv, a, k: run_a(pv, a, lambda leaf: run_b(leaf[0], leaf[1], k))
@@ -486,54 +488,33 @@ _COMPILE = {
 _ENUM_CAP = 4096  # more input shapes than this are sampled, not enumerated
 
 
-def pval_enumerate(steps, payloads, val: Valuation):
-    """All environments over a loop-free step chain, with leaf payloads
-    drawn from the given list.  A list kept on the way stops at
-    _ENUM_CAP + 1 entries, which already put the total over the cap."""
-    if steps is END:
-        yield from payloads
+def pval_enumerate(node, leaf, val: Valuation):
+    """All environments over a loop-free step chain, each leaf a new leaf(),
+    so no two leaves of one environment are the same object.  A list kept
+    on the way stops at _ENUM_CAP + 1 entries, which already put the total
+    over the cap."""
+    if node is END:
+        yield leaf()
         return
-    kind = steps.kind
+    kind = node.kind
     if kind == LOOP_X or kind == LOOP_P:
         # a loop has no finite set of environments: refuse it before the
         # factors after it are enumerated
-        raise NotEnumerable(f"cannot enumerate environments of {steps.head}")
-    if steps.rest is not END:
-        rest = pval_enumerate(steps.rest, payloads, val)
-        payloads = list(itertools.islice(rest, _ENUM_CAP + 1))
+        raise NotEnumerable(f"cannot enumerate environments of {node.head}")
+    pool = lambda side: [*itertools.islice(pval_enumerate(side, leaf, val), _ENUM_CAP + 1)]
     if kind == SEND:
-        values = enumerate_values(steps.head.obj, val)
-        yield from itertools.starmap(PSend, itertools.product(values, payloads))
+        values = enumerate_values(node.head.obj, val)
+        yield from itertools.starmap(PSend, itertools.product(values, pool(node.rest)))
     elif kind == RECV:
-        keys = list(enumerate_values(steps.head.obj, val))
-        for combo in itertools.product(payloads, repeat=len(keys)):
+        # one pool per key, so no two entries of a table share a leaf
+        keys = list(enumerate_values(node.head.obj, val))
+        for combo in itertools.product(*(pool(node.rest) for _ in keys)):
             yield PTable(dict(zip(keys, combo)))
     elif kind == CHOOSE:
-        lefts, rights = (
-            list(itertools.islice(pval_enumerate(p, payloads, val), _ENUM_CAP + 1))
-            for p in steps.parts
-        )
-        yield from itertools.starmap(PPair, itertools.product(lefts, rights))
+        yield from itertools.starmap(PPair, itertools.product(*map(pool, node.sides)))
     else:
-        for tag, side in zip((PInl, PInr), steps.parts):
-            yield from map(tag, pval_enumerate(side, payloads, val))
-
-
-def pval_label(pv, node, labels):
-    """A copy of pv, an environment over a loop-free step chain, with each
-    leaf drawn from the iterator labels once, in one eager walk, even where
-    pv shares one environment between leaves."""
-    if node is END:
-        return next(labels)
-    kind = node.kind
-    if kind == SEND:
-        return PSend(pv.value, pval_label(pv.rest, node.rest, labels))
-    if kind == RECV:
-        return PTable({k: pval_label(v, node.rest, labels) for k, v in pv.table.items()})
-    left, right = node.sides
-    if kind == CHOOSE:
-        return PPair(pval_label(pv.left, left, labels), pval_label(pv.right, right, labels))
-    return type(pv)(pval_label(pv.value, right if type(pv) is PInr else left, labels))
+        for tag, side in zip((PInl, PInr), node.sides):
+            yield from map(tag, pval_enumerate(side, leaf, val))
 
 
 class _Mark:

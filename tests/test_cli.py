@@ -70,6 +70,29 @@ def test_check_positions_a_declared_boundary_mismatch(tmp_path):
     )
 
 
+MAP_HEADER = "object a;\ncarrier a = { x, y };\nmor f : a -> a;\n"
+MAP_ERRORS = {
+    # a table for a morphism never declared
+    "unknown": ("map nosuch = { x -> y };", "line 4:5: unknown morphism 'nosuch'"),
+    # a second table would overwrite the first
+    "again": (
+        "map f = { x -> y; y -> x };\nmap f = { x -> x; y -> y };",
+        "line 5:5: map f declared again",
+    ),
+    # a repeated key would keep its last entry
+    "repeated key": ("map f = { x -> y; x -> x; y -> y };", "line 4:19: map f: repeated key x"),
+}
+
+
+@pytest.mark.parametrize("decl, error", MAP_ERRORS.values(), ids=MAP_ERRORS)
+def test_check_refuses_a_bad_map(tmp_path, decl, error):
+    bad = tmp_path / "bad.fcn"
+    bad.write_text(MAP_HEADER + decl + "\ncell c : [ I | a -> a | I ] = [f];\n")
+    r = run("check", str(bad))
+    assert r.exit_code == 1
+    assert r.output == f"Error: {error}\n"
+
+
 def test_check_empty_file(tmp_path):
     empty = tmp_path / "empty.fcn"
     empty.write_text("")
@@ -158,6 +181,23 @@ def test_a_non_ascii_document_is_an_error_line(tmp_path, command):
     r = run(command[0], str(path), *command[1:])
     assert r.exit_code == 1
     assert r.output == f"Error: {path}: line {line}:6: non-ASCII byte 0xc3\n"
+
+
+@pytest.mark.parametrize("text, error", [
+    # a value error points into the script line, not into the value text
+    ("continue\nrecv wheatdough\n  recv (ryedough,\n",
+     "line 3:18: expected a value, got 'end of input'"),
+    ("continue\n  jump 3\n", "line 2:3: bad move 'jump 3'"),
+], ids=["value", "bad move"])
+def test_a_script_error_gives_its_line_and_column(tmp_path, text, error):
+    script = tmp_path / "moves"
+    script.write_text(text)
+    r = run(
+        "eval", DEMO, "--cell", "memory", "--input", "ryedough",
+        "--script", str(script),
+    )
+    assert r.exit_code == 1
+    assert r.output == f"Error: {error}\n"
 
 
 def test_a_non_ascii_script_is_an_error_line(tmp_path):

@@ -1,6 +1,8 @@
+import itertools
 import multiprocessing
 import os
 import pathlib
+import random
 import re
 import time
 
@@ -15,6 +17,7 @@ from fcn.cells import (
 )
 from fcn.derived import define, vchain
 from fcn.errors import BoundaryMismatch, FcnError, IllTypedValue, NotEnumerable
+from fcn.gen import rand_pval, rand_value
 from fcn.laws import EqConfig, LawResult, cells_equal, run_laws
 from fcn.parser import parse_document, parse_term, show_cell
 from fcn.protocol import (
@@ -140,15 +143,16 @@ def test_raising_engine_fault_is_an_error_row(bakery, monkeypatch):
 
 
 BIG = sg.GenObj("big")
-# left protocols over an 18-value b, with the number of inputs each gets
+# left protocols over an 18-value b, with the number of inputs each gets,
+# or None where the inputs are sampled
 BIG_LEFTS = {
     # 2 shapes, one per sent a, each with a table of 18 labelled leaves
     "!a . ?b": (seq_proto(SendP(A), RecvP(BIG)), 2),
     # 18^4 shapes, more than the cap: sampled
-    "!b . !b . !b . !b": (seq_proto(*[SendP(BIG)] * 4), 64),
+    "!b . !b . !b . !b": (seq_proto(*[SendP(BIG)] * 4), None),
     # a loop inside a branch: sampled
     "(!a & !a^x) . ?b": (
-        seq_proto(ChooseP(SendP(A), StarXP(SendP(A))), RecvP(BIG)), 64
+        seq_proto(ChooseP(SendP(A), StarXP(SendP(A))), RecvP(BIG)), None
     ),
 }
 
@@ -166,10 +170,31 @@ def test_inputs_enumerate_no_further_than_the_cap(left, count, monkeypatch):
 
         monkeypatch.setattr(semantics, name, counted)
     inputs = laws._inputs(boundary(left, sg.UNIT, sg.UNIT, DONE), val, 4, 64, 0)
-    assert len(inputs) == count
     # each list the enumeration keeps stops at the cap; enumerating all
     # 18^4 shapes would build 111,150 sends
     assert built[0] <= len(proto_factors(left)) * (laws._ENUM_CAP + 1)
+    monkeypatch.undo()
+    if count is not None:
+        assert len(inputs) == count
+        return
+    # sampled: the distinct shapes among 64 draws, with sampled leaves
+    assert 0 < len(inputs) <= 64
+    for pv, _ in inputs:
+        labels = re.findall(r"\b[su]\d+\b", semantics.pval_show(pv, proto_steps(left)))
+        assert labels and all(label.startswith("s") for label in labels)
+
+
+def test_a_large_receive_table_is_enumerated_in_one_product():
+    # a table takes its entries from one product over a pool per key; a
+    # walk that recursed once per key would raise RecursionError here
+    _, val = g.bakery_signature()
+    val.carriers["big"] = tuple(f"b{i}" for i in range(2000))
+    left = seq_proto(SendP(A), RecvP(BIG))
+    inputs = laws._inputs(boundary(left, sg.UNIT, sg.UNIT, DONE), val, 4, 64, 0)
+    assert len(inputs) == 2
+    for pv, _ in inputs:
+        leaves = list(pv.rest.table.values())
+        assert len(set(leaves)) == len(leaves) == 2000
 
 
 def test_enumerated_inputs_label_each_shape_once(bakery):
@@ -177,13 +202,13 @@ def test_enumerated_inputs_label_each_shape_once(bakery):
     left = seq_proto(ChooseP(SendP(A), RecvP(A)), OfferP(RecvP(g.OVEN), SendP(A)))
     inputs = laws._inputs(boundary(left, A, A, DONE), val, 4, 64, 0)
     steps = proto_steps(left)
-    shapes = list(semantics.pval_enumerate(steps, [None], val))
+    shapes = list(semantics.pval_enumerate(steps, lambda: None, val))
     assert len(inputs) == 2 * len(shapes) == 2 * (2 * 3) * (3 * 3)
     shown = [(semantics.pval_show(pv, steps), a) for pv, a in inputs]
     for text, _ in shown:
+        # the numbering runs across the inputs, but no label repeats in one
         labels = re.findall(r"\bu\d+\b", text)
-        assert sorted(labels) == sorted(f"u{i}" for i in range(len(labels)))
-        assert len(labels) > 1
+        assert len(set(labels)) == len(labels) > 1
     unlabelled = {(re.sub(r"\bu\d+\b", "x", text), a) for text, a in shown}
     assert len(unlabelled) == len(inputs)
 
@@ -223,12 +248,22 @@ def test_sampled_shape_key_is_exact(demo):
     for bound in sorted(sampled, key=str):
         left = proto_steps(bound.left)
         for depth in (4, 0, -1):
-            inputs = laws._inputs(bound, doc.val, depth, 64, laws.DEFAULT_SEED)
-            # the key _check gives a draw
-            keys = [(semantics.pval_shape(pv, left), a) for pv, a in inputs]
-            seen = [(_observed_shape(pv, left, depth), a) for pv, a in inputs]
+            # the draws _inputs makes, before it drops repeated keys
+            rng, count = random.Random(laws.DEFAULT_SEED), itertools.count()
+            mk = lambda: f"s{next(count)}"
+            draws = [
+                (rand_pval(rng, left, mk, doc.val, depth), rand_value(rng, bound.top, doc.val))
+                for _ in range(64)
+            ]
+            keys = [(semantics.pval_shape(pv, left), a) for pv, a in draws]
+            seen = [(_observed_shape(pv, left, depth), a) for pv, a in draws]
             assert [keys.index(k) for k in keys] == [seen.index(o) for o in seen]
             shared += len(keys) - len(set(keys))
+            # _inputs keeps the first draw of each key, in draw order
+            inputs = laws._inputs(bound, doc.val, depth, 64, laws.DEFAULT_SEED)
+            kept = [semantics.pval_show(pv, left, depth) for pv, _ in inputs]
+            firsts = [draws[keys.index(k)][0] for k in dict.fromkeys(keys)]
+            assert kept == [semantics.pval_show(pv, left, depth) for pv in firsts]
     assert shared > 0
 
 

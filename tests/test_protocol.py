@@ -181,7 +181,8 @@ def test_sequence_does_not_distribute_over_branch():
         before = seq_proto(branch(u, w), v)
         after = branch(seq_proto(u, v), seq_proto(w, v))
         assert not proto_equal(before, after)
-        envs = list(pval_enumerate(proto_steps(before), ["x"], val))
+        leaf = iter(range(100)).__next__
+        envs = list(pval_enumerate(proto_steps(before), leaf, val))
         assert [pval_show(e, proto_steps(before)) for e in envs] == [
             pval_show(e, proto_steps(after)) for e in envs
         ]
@@ -231,4 +232,5 @@ def test_branch_sides_end_with_the_rest():
         left, right = steps.sides
         assert left.factors == (SEND_A, RECV_B) and left.rest is steps.rest
         assert right.factors == (RECV_B, SEND_A, RECV_B) and right.rest.rest is steps.rest
-        assert [part.factors for part in steps.parts] == [(SEND_A,), (RECV_B, SEND_A)]
+        with pytest.raises(AttributeError):
+            steps.parts  # only a loop, whose walkers count rounds, has parts

@@ -112,16 +112,23 @@ def test_vcomp_threads_protocols(interp):
 
 def test_pval_enumerate_counts(bakery):
     _, val = bakery
-    assert len(list(pval_enumerate(proto_steps(SendP(A)), [RYE], val))) == 2
-    protos = proto_steps(seq_proto(SendP(A), RecvP(A)))
-    pvals = list(pval_enumerate(protos, [RYE, WHEAT], val))
-    # 2 sent values, times one payload choice per entry of the receive table
+    leaf = itertools.count().__next__
+    assert len(list(pval_enumerate(proto_steps(SendP(A)), leaf, val))) == 2
+    protos = proto_steps(seq_proto(SendP(A), RecvP(A), SendP(A)))
+    pvals = list(pval_enumerate(protos, leaf, val))
+    # 2 sent values, times one sent value per entry of the receive table
     assert len(pvals) == 2 * (2 * 2)
+    assert len({(pv.value, *(e.value for e in pv.rest.table.values())) for pv in pvals}) == 8
+    for pv in pvals:
+        # every leaf of an environment is a leaf() of its own
+        leaves = [e.rest for e in pv.rest.table.values()]
+        assert len(set(leaves)) == len(leaves) == 2
 
 
 def test_pval_enumerate_done(bakery):
     _, val = bakery
-    assert list(pval_enumerate(proto_steps(DONE), [RYE, WHEAT], val)) == [RYE, WHEAT]
+    leaf = iter([RYE, WHEAT]).__next__
+    assert list(pval_enumerate(proto_steps(DONE), leaf, val)) == [RYE]
 
 
 def test_pval_enumerate_refuses_a_loop_first(bakery, monkeypatch):
@@ -135,7 +142,7 @@ def test_pval_enumerate_refuses_a_loop_first(bakery, monkeypatch):
     monkeypatch.setattr(semantics, "enumerate_values", enumerated)
     protos = proto_steps(seq_proto(StarPP(SendP(A)), RecvP(A)))
     with pytest.raises(NotEnumerable):
-        list(pval_enumerate(protos, [RYE], val))
+        list(pval_enumerate(protos, lambda: RYE, val))
 
 
 def test_pval_equal_depth_cutoff(interp):

@@ -180,6 +180,10 @@ MUTANTS = {
     "tensor crosses g's bottom": (
         PARSER, "(f | cross{fR, gT})", "(f | cross{fR, gB})", "test_derived",
     ),
+    # the law suite's inputs
+    "enumerated inputs share one label": (
+        LAWS, 'lambda: f"u{next(count)}"', 'lambda: "u0"', "test_laws",
+    ),
     # a law's own derived cell
     "sum-to-offer swaps its injections": (
         LAWS,
