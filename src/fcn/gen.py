@@ -73,7 +73,8 @@ def rand_value(rng: random.Random, obj, val: Valuation):
     if isinstance(obj, sg.Unit):
         return UNITV
     if isinstance(obj, sg.GenObj):
-        return rng.choice(val.carrier_values(obj.name))
+        # one value for the drawn atom, not one per atom of the carrier
+        return sg.AtomV(rng.choice(val.carrier_atoms(obj.name)))
     if isinstance(obj, sg.Tensor):
         return tensor_value(*(rand_value(rng, f, val) for f in obj.factors))
     if isinstance(obj, sg.Sum):

@@ -38,7 +38,7 @@ from . import signature as sg
 from .cells import Cell, boundaries_equal, infer_boundary
 from .parser import Document, bind, parse_term
 from .semantics import (
-    _ENUM_CAP, Interp, pval_enumerate, pval_equal, pval_map, pval_shape,
+    _ENUM_CAP, Interp, pval_count, pval_enumerate, pval_equal, pval_map, pval_shape,
 )
 from .rewrite import rewrite
 from .gen import gen_cell, gen_interchange_quad, rand_pval, rand_value
@@ -84,11 +84,11 @@ def _inputs(bound, val, depth, samples, seed):
     s1, ..., or None when ``samples`` is 0."""
     left = proto_steps(bound.left)
     try:
-        count = itertools.count()
-        pvs = pval_enumerate(left, lambda: f"u{next(count)}", val)
-        pvs = [*itertools.islice(pvs, _ENUM_CAP + 1)]
+        # count the shapes first: past the cap nothing is built
         tops = list(sg.enumerate_values(bound.top, val))
-        if len(pvs) * len(tops) <= _ENUM_CAP:
+        if pval_count(left, val) * len(tops) <= _ENUM_CAP:
+            count = itertools.count()
+            pvs = pval_enumerate(left, lambda: f"u{next(count)}", val)
             return [(pv, a) for pv in pvs for a in tops]
     except NotEnumerable:
         # a loop factor or an infinite carrier: sample instead
@@ -125,6 +125,8 @@ def _check(sig, val, cfg, c1, c2, cap=None):
     if inputs is None:
         return None
     right = proto_steps(bound.right)
+    # both outputs go straight into pval_equal, which frees each part it has
+    # compared when nothing else holds the output
     return all(
         pval_equal(interp.apply(c1, pv, a), want(pv, a), right, cfg.depth)
         for pv, a in inputs

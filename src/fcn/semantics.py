@@ -64,21 +64,25 @@ sequence, or slices a factor list: `done` is `END`, and a loop's step side
 is its body chained back to the loop's own node.  Only the observation and
 `gen.rand_pval` count loop rounds, and read a loop's `parts` to do so.
 
-Environments are compared and printed through one observation, a flat token
-list: structure marks, each sent value and table key (tables in the order
-of their keys' text), `#handle` where a `^x` handle is cut off, and the
-payloads at the leaves.  `pval_equal` asks whether two observations are
-equal and `pval_show` renders one, so two environments print alike exactly
-when they are equal at that depth: behavioural equivalence up to a bounded
-number of loop rounds (Rutten, *Universal Coalgebra*, TCS 2000).  The depth
-rule: a `^x` handle observed at depth 0 is cut off; above that, its stop
-side and its body are observed at the handle's depth d, the loop beneath
-them at d - 1, and whatever follows a factor at the depth where that factor
-was split off.
+Printing walks the observation of an environment, a flat token list:
+structure marks, each sent value and table key (tables in the order of
+their keys' text), `#handle` where a `^x` handle is cut off, and the
+payloads at the leaves; `pval_show` renders it.  Comparison walks both
+environments in lockstep under the same depth rule and in the same order,
+and builds no list: `pval_equal` compares what two observations over one
+step chain can differ in, the payloads, sent values, table key sets and
+tags, and stops at the first difference.  So two environments print alike
+exactly when they are equal at that depth: behavioural equivalence up to a
+bounded number of loop rounds (Rutten, *Universal Coalgebra*, TCS 2000).
+The depth rule: a `^x` handle observed at depth 0 is cut off; above that,
+its stop side and its body are observed at the handle's depth d, the loop
+beneath them at d - 1, and whatever follows a factor at the depth where
+that factor was split off.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 from dataclasses import dataclass
@@ -490,9 +494,8 @@ _ENUM_CAP = 4096  # more input shapes than this are sampled, not enumerated
 
 def pval_enumerate(node, leaf, val: Valuation):
     """All environments over a loop-free step chain, each leaf a new leaf(),
-    so no two leaves of one environment are the same object.  A list kept
-    on the way stops at _ENUM_CAP + 1 entries, which already put the total
-    over the cap."""
+    so no two leaves of one environment are the same object.  pval_count
+    says how many there are before any is built."""
     if node is END:
         yield leaf()
         return
@@ -501,7 +504,7 @@ def pval_enumerate(node, leaf, val: Valuation):
         # a loop has no finite set of environments: refuse it before the
         # factors after it are enumerated
         raise NotEnumerable(f"cannot enumerate environments of {node.head}")
-    pool = lambda side: [*itertools.islice(pval_enumerate(side, leaf, val), _ENUM_CAP + 1)]
+    pool = lambda side: list(pval_enumerate(side, leaf, val))
     if kind == SEND:
         values = enumerate_values(node.head.obj, val)
         yield from itertools.starmap(PSend, itertools.product(values, pool(node.rest)))
@@ -515,6 +518,39 @@ def pval_enumerate(node, leaf, val: Valuation):
     else:
         for tag, side in zip((PInl, PInr), node.sides):
             yield from map(tag, pval_enumerate(side, leaf, val))
+
+
+def pval_count(steps, val: Valuation) -> int:
+    """The number of environments pval_enumerate lists over a loop-free
+    step chain, or _ENUM_CAP + 1 when there are more, found without
+    building one: a send multiplies by its values, a receive raises to the
+    power of its keys, a choice multiplies its sides and an offer adds
+    them.  Raises NotEnumerable where pval_enumerate would."""
+    over = _ENUM_CAP + 1
+
+    @functools.cache  # the two sides of a branch share the rest of the chain
+    def count(node):
+        if node is END:
+            return 1
+        kind = node.kind
+        if kind == LOOP_X or kind == LOOP_P:
+            raise NotEnumerable(f"cannot enumerate environments of {node.head}")
+        if kind == SEND or kind == RECV:
+            # past `over` values the count is capped anyway
+            values = itertools.islice(enumerate_values(node.head.obj, val), over)
+            if kind == SEND:
+                n = count(node.rest) * sum(1 for _ in values)
+            else:
+                n = 1
+                for _ in values:
+                    n = min(n * count(node.rest), over)
+        elif kind == CHOOSE:
+            n = count(node.sides[0]) * count(node.sides[1])
+        else:
+            n = count(node.sides[0]) + count(node.sides[1])
+        return min(n, over)
+
+    return count(steps)
 
 
 class _Mark:
@@ -538,10 +574,11 @@ _TAGS = ((_Mark("L "), _Mark("R ")), (_Mark("stop "), _Mark("step ")))
 
 def _observe(out, pv, node, depth):
     """Append to out the observation of pv over the step chain node at
-    depth.  The work is a stack of tokens still to append and of pending
-    observations (pv, node, depth, then): their leaves are payloads when
-    `then` is None, and otherwise environments observed over `then`, a
-    triple (node, depth, then)."""
+    depth, for pval_show; pval_equal walks two environments in this order
+    without building the list.  The work is a stack of tokens still to
+    append and of pending observations (pv, node, depth, then): their
+    leaves are payloads when `then` is None, and otherwise environments
+    observed over `then`, a triple (node, depth, then)."""
     todo = [(pv, node, depth, None)]
     while todo:
         item = todo.pop()
@@ -590,11 +627,57 @@ def _observe(out, pv, node, depth):
 
 def pval_equal(p, q, steps, depth) -> bool:
     """Observational equality of environments over a step chain: the two
-    observations at `depth` are equal."""
-    seen_p, seen_q = [], []
-    _observe(seen_p, p, steps, depth)
-    _observe(seen_q, q, steps, depth)
-    return seen_p == seen_q
+    observations at `depth` are equal.
+
+    One walk over both sides in lockstep, under the observation's depth
+    rule and in its order, with a stack of the pairs still to compare (p,
+    q, node, depth, then) as in `_observe`.  Two environments over one
+    step chain can differ only in a payload, a sent value, a table's key
+    set or a tag, so only those are compared, and the walk stops at the
+    first that differs: what lies after it is never read.  The walk holds
+    no part it has compared, so when the caller holds neither environment,
+    each compared part is freed as the walk moves on."""
+    todo = [(p, q, steps, depth, None)]
+    pop, push = todo.pop, todo.append
+    while todo:
+        p, q, node, depth, then = pop()
+        while node is END and then is not None:
+            node, depth, then = then
+        if node is END:
+            if p != q:
+                return False
+            continue
+        kind = node.kind
+        if kind == SEND:
+            p, q = expect(p, PSend), expect(q, PSend)
+            if p.value != q.value:
+                return False
+            push((p.rest, q.rest, node.rest, depth, then))
+        elif kind == RECV:
+            p, q, rest = expect(p, PTable).table, expect(q, PTable).table, node.rest
+            if p.keys() != q.keys():
+                return False
+            # pushed last key first, so they come off in order of their text
+            for key in sorted(p, key=str, reverse=True):
+                push((p[key], q[key], rest, depth, then))
+        elif kind == LOOP_X and depth <= 0:
+            # cut off before a pending map is resolved: no layer is built
+            continue
+        elif kind <= LOOP_X:
+            p, q = expect(p, PPair), expect(q, PPair)
+            if kind == LOOP_X:
+                body, loop = node.parts
+                below = (loop, depth - 1, (node.rest, depth, then))
+                push((p.right, q.right, body, depth, below))
+            else:
+                push((p.right, q.right, node.sides[1], depth, then))
+            push((p.left, q.left, node.sides[0], depth, then))
+        else:
+            p, q = expect(p, TAGGED), expect(q, TAGGED)
+            if type(p) is not type(q):
+                return False
+            push((p.value, q.value, node.sides[type(p) is PInr], depth, then))
+    return True
 
 
 def pval_shape(pv, steps) -> tuple:

@@ -424,11 +424,14 @@ class Valuation:
     carriers: dict = field(default_factory=dict)  # name -> tuple of atom names
     mor_maps: dict = field(default_factory=dict)  # name -> dict Value -> Value
 
-    def carrier_values(self, name):
+    def carrier_atoms(self, name):
         atoms = self.carriers.get(name)
         if atoms is None:
             raise UnknownName(f"no carrier for object {name}")
-        return [AtomV(a) for a in atoms]
+        return atoms
+
+    def carrier_values(self, name):
+        return [AtomV(a) for a in self.carrier_atoms(name)]
 
 
 # ---------------------------------------------------------------------------

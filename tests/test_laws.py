@@ -170,8 +170,8 @@ def test_inputs_enumerate_no_further_than_the_cap(left, count, monkeypatch):
 
         monkeypatch.setattr(semantics, name, counted)
     inputs = laws._inputs(boundary(left, sg.UNIT, sg.UNIT, DONE), val, 4, 64, 0)
-    # each list the enumeration keeps stops at the cap; enumerating all
-    # 18^4 shapes would build 111,150 sends
+    # the shapes are counted before any is built, and enumerated only up
+    # to the cap; enumerating all 18^4 shapes would build 111,150 sends
     assert built[0] <= len(proto_factors(left)) * (laws._ENUM_CAP + 1)
     monkeypatch.undo()
     if count is not None:
@@ -182,6 +182,32 @@ def test_inputs_enumerate_no_further_than_the_cap(left, count, monkeypatch):
     for pv, _ in inputs:
         labels = re.findall(r"\b[su]\d+\b", semantics.pval_show(pv, proto_steps(left)))
         assert labels and all(label.startswith("s") for label in labels)
+
+
+def test_inputs_count_the_shapes_before_building_any(monkeypatch):
+    # recv big * send big over 300 values has 300^300 shapes: _inputs
+    # counts them and samples at once, with no environment built before
+    _, val = g.bakery_signature()
+    val.carriers["big"] = tuple(f"b{i}" for i in range(300))
+    built, at_draws = [0], []
+    for name in ("PSend", "PTable"):
+
+        def counted(*parts, make=getattr(semantics, name)):
+            built[0] += 1
+            return make(*parts)
+
+        monkeypatch.setattr(semantics, name, counted)
+    draw = laws.rand_pval
+
+    def drawn(*args):
+        at_draws.append(built[0])
+        return draw(*args)
+
+    monkeypatch.setattr(laws, "rand_pval", drawn)
+    left = seq_proto(RecvP(BIG), SendP(BIG))
+    inputs = laws._inputs(boundary(left, sg.UNIT, sg.UNIT, DONE), val, 4, 64, 0)
+    assert at_draws == [0] * 64
+    assert 0 < len(inputs) <= 64
 
 
 def test_a_large_receive_table_is_enumerated_in_one_product():

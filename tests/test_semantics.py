@@ -34,10 +34,16 @@ from fcn.cells import (
     infer_boundary,
 )
 from fcn.errors import IllTypedValue, InfiniteRecvCarrier, NotEnumerable
-from fcn.gen import gen_cell, rand_pval, rand_value
+from fcn.gen import gen_cell, rand_pval, rand_proto, rand_value
 from fcn.parser import parse_document
 from fcn.protocol import (
+    CHOOSE,
     DONE,
+    END,
+    LOOP_X,
+    RECV,
+    SEND,
+    ChooseP,
     OfferP,
     RecvP,
     SendP,
@@ -123,6 +129,20 @@ def test_pval_enumerate_counts(bakery):
         # every leaf of an environment is a leaf() of its own
         leaves = [e.rest for e in pv.rest.table.values()]
         assert len(set(leaves)) == len(leaves) == 2
+
+
+def test_pval_count_counts_what_pval_enumerate_lists(bakery):
+    sig, val = bakery
+    over = semantics._ENUM_CAP + 1
+    rng = random.Random("count")
+    capped = seq_proto(*[SendP(A)] * 13)  # 2^13 shapes
+    for proto in [rand_proto(rng, sig, 3) for _ in range(80)] + [capped]:
+        steps = proto_steps(proto)
+        listed = itertools.islice(pval_enumerate(steps, lambda: None, val), over)
+        assert semantics.pval_count(steps, val) == sum(1 for _ in listed), proto
+    assert semantics.pval_count(proto_steps(capped), val) == over
+    with pytest.raises(NotEnumerable):
+        semantics.pval_count(proto_steps(seq_proto(SendP(A), StarPP(SendP(A)))), val)
 
 
 def test_pval_enumerate_done(bakery):
@@ -639,6 +659,144 @@ def test_deep_environments_are_observed(layers):
     assert shown == "step (ryedough, " * layers + "stop end" + ")" * layers
     assert pval_equal(p, p, protos, 2)
     assert not pval_equal(p, q, protos, 2)
+
+
+# ---------------------------------------------------------------------------
+# pval_equal walks both environments in lockstep; the observation lists of
+# _observe, which pval_show renders, are the reference it must agree with.
+
+
+def _observation(pv, steps, depth):
+    seen = []
+    semantics._observe(seen, pv, steps, depth)
+    return seen
+
+
+def _one_change(rng, pv, node, val, budget):
+    """(what, pv over the step chain node with one thing changed): the
+    payload, sent value, table key set or tag where a random descent of at
+    most `budget` steps stops.  A pair is never the stop; past the budget
+    the descent takes its left side, which leads out of every loop."""
+    if node is END:
+        return "payload", pv + "'"
+    kind, descend = node.kind, budget > 0 and rng.random() < 0.7
+    if kind == SEND:
+        if descend:
+            what, rest = _one_change(rng, pv.rest, node.rest, val, budget - 1)
+            return what, PSend(pv.value, rest)
+        others = [v for v in sg.enumerate_values(node.head.obj, val) if v != pv.value]
+        return "sent", PSend(rng.choice(others or [sg.AtomV("other")]), pv.rest)
+    if kind == RECV:
+        table = dict(pv.table)
+        if descend:
+            key = rng.choice(sorted(table, key=str))
+            what, table[key] = _one_change(rng, table[key], node.rest, val, budget - 1)
+            return what, PTable(table)
+        table[sg.AtomV("other")] = next(iter(table.values()))
+        return "keys", PTable(table)
+    if kind == CHOOSE or kind == LOOP_X:
+        sides, right = [pv.left, pv.right], descend and rng.random() < 0.5
+        what, sides[right] = _one_change(rng, sides[right], node.sides[right], val, budget - 1)
+        return what, PPair(*sides)
+    step = type(pv) is PInr
+    if descend:
+        what, inner = _one_change(rng, pv.value, node.sides[step], val, budget - 1)
+        return what, type(pv)(inner)
+    flipped = rand_pval(rng, node.sides[not step], lambda: "x0", val, 1)
+    return "tag", (PInl, PInr)[not step](flipped)
+
+
+def _lockstep_corpus(sig, val):
+    """(what differs, step chain, p, q): two seeded draws over rand_proto
+    protocols put under loops, each draw against itself through an identity
+    map, and each draw against copies of it with one thing changed; every
+    pair also as pending maps of both sides."""
+    rng = random.Random("lockstep")
+    mk = lambda: rng.choice(("x0", "x1"))
+    for _ in range(40):
+        base, other = rand_proto(rng, sig, 2), rand_proto(rng, sig, 1)
+        proto = rng.choice([
+            base, StarXP(base), StarPP(base), seq_proto(StarXP(base), other),
+            seq_proto(other, StarPP(base)), ChooseP(StarXP(base), other),
+            OfferP(other, StarPP(base)), StarXP(seq_proto(other, StarXP(base))),
+        ])
+        steps = proto_steps(proto)
+        depth = rng.randrange(4)
+        pv, pw = (rand_pval(rng, steps, mk, val, depth) for _ in "pw")
+        pairs = [("draws", pv, pw), ("identity map", pv, pval_map(pv, steps, str))]
+        pairs += [(what, pv, q) for what, q in (
+            _one_change(rng, pv, steps, val, rng.randrange(6)) for _ in range(4)
+        )]
+        for what, p, q in pairs:
+            yield what, steps, p, q
+            yield what, steps, pval_map(p, steps, str.upper), pval_map(q, steps, str.upper)
+
+
+def test_lockstep_agrees_with_the_observations(bakery):
+    sig, val = bakery
+    parted = set()
+    for what, steps, p, q in _lockstep_corpus(sig, val):
+        for depth in range(4):
+            # compared first, so pending maps are read by the walk under test
+            equal = pval_equal(p, q, steps, depth)
+            alike = _observation(p, steps, depth) == _observation(q, steps, depth)
+            assert equal == alike, (what, depth, pval_show(p, steps, depth))
+            if not alike:
+                parted.add(what)
+    # each of the four comparisons decides some pair on its own
+    assert {"payload", "sent", "keys", "tag"} <= parted
+
+
+def test_pval_equal_stops_at_the_first_difference():
+    # p and q differ in their first sent value; q's later lazy side, whose
+    # thunk raises, is never built
+    ran = []
+
+    def boom():
+        ran.append("boom")
+        raise AssertionError("read past the first difference")
+
+    steps = proto_steps(seq_proto(SendP(A), ChooseP(SendP(A), SendP(A))))
+    p = PSend(RYE, PPair(PSend(RYE, "x0"), PSend(RYE, "x1")))
+    q = PSend(WHEAT, PPair.lazy(lambda: PSend(RYE, "x0"), boom))
+    assert not pval_equal(p, q, steps, 2)
+    assert not pval_equal(q, p, steps, 2)
+    assert ran == []
+    # an equal pair is read in full, so an ill-typed layer deep in it raises
+    deep = lambda: PSend(RYE, PPair(PSend(RYE, "x0"), PTable({RYE: "x1"})))
+    with pytest.raises(IllTypedValue):
+        pval_equal(deep(), deep(), steps, 2)
+
+
+class _Leaf:
+    """A payload that can be referenced weakly."""
+
+    def __init__(self, name):
+        self.name = name
+
+    def __eq__(self, other):
+        return self.name == other.name
+
+
+def test_pval_equal_lets_go_of_what_it_has_compared():
+    # over send dough x send dough the right sides are pending maps, read
+    # after the left sides; by then nothing holds the compared left leaves
+    steps, one = proto_steps(ChooseP(SendP(A), SendP(A))), proto_steps(SendP(A))
+    refs, seen = [], []
+
+    def env():
+        leaf = _Leaf("x0")
+        refs.append(weakref.ref(leaf))
+
+        def check(x):
+            seen.append([ref() is not None for ref in refs])
+            return x
+
+        return PPair(PSend(RYE, leaf), pval_map(PSend(RYE, _Leaf("x1")), one, check))
+
+    equal = pval_equal(env(), env(), steps, 2)
+    assert equal
+    assert seen == [[False, False], [False, False]]
 
 
 def test_stacked_maps_read_under_the_recursion_limit():

@@ -17,3 +17,19 @@ def test_every_mutant_applies(name):
     path, old, _, check = mutants.MUTANTS[name]
     assert (ROOT / path).read_text().count(old) == 1
     assert check in mutants.CHECKS
+
+
+_spec = importlib.util.spec_from_file_location("lawtimes", ROOT / "tools" / "lawtimes.py")
+lawtimes = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(lawtimes)
+
+
+def test_lawtimes_times_one_law(capsys):
+    argv = [str(ROOT / "demos" / "bakery.fcn"), "--law", "promote-id", "--repeat", "2"]
+    assert lawtimes.main(argv) == 0
+    head, row, total = [line.split() for line in capsys.readouterr().out.splitlines()]
+    assert head == ["law", "status", "instances", "best_s", "pval_equal"]
+    # promote-id checks [id o] = 1 o for two objects, each on its inputs
+    assert row[:3] == ["promote-id", "pass", "2"] and float(row[3]) >= 0
+    assert int(row[4]) > 0
+    assert total == ["total", row[3], row[4]]

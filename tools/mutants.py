@@ -123,9 +123,22 @@ MUTANTS = {
     "IterX's stop reads the first input": (
         SEMANTICS, "lambda: run_f(state, inp, k),", "lambda: run_f(state, a, k),", "laws",
     ),
-    # the comparator
+    # the comparator: one mutant per comparison of the lockstep walk, and
+    # the observation that pval_show renders
     "pval_equal says equal": (
-        SEMANTICS, "return seen_p == seen_q", "return True", "test_semantics",
+        SEMANTICS, "todo = [(p, q, steps, depth, None)]", "todo = []", "test_semantics",
+    ),
+    "pval_equal: payloads are never unequal": (
+        SEMANTICS, "if p != q:", "if False:", "test_semantics",
+    ),
+    "pval_equal ignores sent values": (
+        SEMANTICS, "if p.value != q.value:", "if False:", "test_semantics",
+    ),
+    "pval_equal ignores table key sets": (
+        SEMANTICS, "if p.keys() != q.keys():", "if False:", "test_semantics",
+    ),
+    "pval_equal ignores tags": (
+        SEMANTICS, "if type(p) is not type(q):", "if False:", "test_semantics",
     ),
     "the observation writes 0 for a payload": (
         SEMANTICS, "out.append(pv)", "out.append(0)", "test_semantics",
